@@ -116,7 +116,7 @@ def run_scenario(workloads, techniques, instructions, rounds) -> dict:
     segments_before = set(poolmod.created_shm_segments())
 
     spawn_s, spawn = _best_of(
-        rounds, config, workloads, techniques, use_pool=False
+        rounds, config, workloads, techniques, executor="spawn"
     )
     pool_s, pooled = _best_of(rounds, config, workloads, techniques)
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Scenario: a multi-core parameter sweep using all local CPUs.
 
-Sweeps ESTEEM against RPV over a workload list with process-parallel
-execution (``repro.experiments.parallel``), the way one would drive the
-full 34-workload evaluation on a many-core workstation.
+Sweeps ESTEEM against RPV over a workload list on the resilient sweep
+driver (``repro.experiments.parallel.resilient_sweep``, the engine behind
+``repro sweep`` and ``repro figure``), the way one would drive the full
+34-workload evaluation on a many-core workstation.
 
 Usage::
 
@@ -17,7 +18,8 @@ import sys
 import time
 
 from repro import SimConfig
-from repro.experiments.parallel import parallel_compare
+from repro.experiments.figures import figure_rows
+from repro.experiments.parallel import resilient_sweep
 from repro.experiments.report import format_table
 from repro.experiments.runner import Runner, aggregate
 
@@ -33,10 +35,13 @@ def main() -> None:
     config = SimConfig.scaled(instructions_per_core=instructions)
 
     t0 = time.perf_counter()
-    parallel = parallel_compare(
-        config, WORKLOADS, ("esteem", "rpv"), jobs=jobs
-    )
+    result = resilient_sweep(config, WORKLOADS, ("esteem", "rpv"), jobs=jobs)
     t_par = time.perf_counter() - t0
+    if result.degraded:
+        raise SystemExit(
+            f"sweep degraded: {[f.workload for f in result.failed]}"
+        )
+    parallel = result.comparisons
 
     t0 = time.perf_counter()
     runner = Runner(config)
@@ -45,9 +50,9 @@ def main() -> None:
     t_seq = time.perf_counter() - t0
 
     rows = [
-        [c.workload, c.energy_saving_pct, c.weighted_speedup,
-         r.energy_saving_pct, r.weighted_speedup]
-        for c, r in zip(parallel["esteem"], parallel["rpv"])
+        [r.workload, r.esteem_energy_saving_pct, r.esteem_weighted_speedup,
+         r.rpv_energy_saving_pct, r.rpv_weighted_speedup]
+        for r in figure_rows(parallel)
     ]
     es = aggregate(parallel["esteem"])
     rpv = aggregate(parallel["rpv"])

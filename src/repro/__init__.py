@@ -41,7 +41,7 @@ from repro.experiments import (
     fig2_reconfiguration_timeline,
     per_workload_comparison,
 )
-from repro.experiments.parallel import ParallelWorkerError, parallel_compare
+from repro.experiments.parallel import ParallelWorkerError
 from repro.obs import MetricsRegistry, Profiler, ProgressReporter, Tracer
 from repro.tech import TECHNOLOGIES, evaluate_technology
 from repro.timing import FullHierarchySystem, System, SystemResult
@@ -68,7 +68,6 @@ __all__ = [
     "Profiler",
     "ProgressReporter",
     "Tracer",
-    "parallel_compare",
     "CacheGeometry",
     "DUAL_CORE_MIXES",
     "EnergyParams",

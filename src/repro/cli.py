@@ -16,9 +16,8 @@ Subcommands::
 All experiment subcommands accept ``--instructions`` (trace scale),
 ``--retention`` (us), and the ESTEEM knobs (``--alpha``, ``--a-min``,
 ``--modules``, ``--interval``, ``--sampling-ratio``), plus the
-observability flags ``--profile`` (span timing report on stderr),
-``-v``/``--verbose`` (progress + ETA lines during sweeps) and
-``-q``/``--quiet`` (suppress stderr chatter).
+observability flags ``--profile`` (span timing report on stderr) and
+``-q``/``--quiet`` (suppress the progress + ETA lines sweeps print).
 
 Sweep-shaped subcommands (``sweep``, ``figure``) consult a
 content-addressed result cache so unchanged units are never re-simulated;
@@ -30,18 +29,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from typing import Sequence
 
 from repro.config import SimConfig
 from repro.energy.model import counter_overhead_percent
-from repro.experiments.figures import (
-    fig2_reconfiguration_timeline,
-    per_workload_comparison,
-)
+from repro.experiments.figures import fig2_reconfiguration_timeline, figure_rows
+from repro.experiments.parallel import resilient_sweep
 from repro.experiments.report import format_table
-from repro.experiments.parallel import parallel_compare
 from repro.experiments.runner import Runner, aggregate
+from repro.experiments.supervise import EXECUTORS
 from repro.experiments.tables import SENSITIVITY_VARIANTS, sensitivity_row
+from repro.obs import ProgressReporter
 from repro.timing.system import TECHNIQUES
 from repro.workloads.multiprog import DUAL_CORE_MIXES
 from repro.workloads.profiles import ALL_BENCHMARKS
@@ -73,8 +72,6 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
                         help="neither read nor write the sweep result cache")
     parser.add_argument("--profile", action="store_true",
                         help="print a wall/CPU-time span report on stderr")
-    parser.add_argument("-v", "--verbose", action="count", default=0,
-                        help="progress + ETA reporting on stderr")
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="suppress stderr progress output")
 
@@ -173,11 +170,78 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _workload_list(args: argparse.Namespace, num_cores: int) -> list[str]:
+    """``--workloads`` if given, else every Table 1 workload (or mix)."""
+    if args.workloads:
+        return args.workloads.split(",")
+    if num_cores == 1:
+        return [b.name for b in ALL_BENCHMARKS]
+    return [m.acronym for m in DUAL_CORE_MIXES]
+
+
+def _report_outcome(result) -> int:
+    """Print a sweep's QUARANTINED/SKIPPED/DEGRADED/INTERRUPTED report.
+
+    Returns the exit status: 4 for an interrupted sweep, 3 for a degraded
+    one, 0 for a complete one.
+    """
+    if result.quarantined:
+        print(
+            f"QUARANTINED: {len(result.quarantined)} poison workload(s) "
+            f"pulled from the run queue:",
+            file=sys.stderr,
+        )
+        for q in result.quarantined:
+            print(
+                f"  {q.workload}: [{q.exc_type}] killed {q.workers} "
+                f"distinct worker(s) over {q.attempts} attempt(s)",
+                file=sys.stderr,
+            )
+    if result.skipped:
+        print(
+            f"SKIPPED: {len(result.skipped)} workload(s) cancelled "
+            f"({result.skipped[0].reason}); rerun with --resume to "
+            f"finish them:",
+            file=sys.stderr,
+        )
+        for s in result.skipped:
+            print(f"  {s.workload}: skipped-{s.reason}", file=sys.stderr)
+    if result.failed:
+        print(
+            f"DEGRADED: {len(result.failed)} workload(s) lost after "
+            f"{result.attempts} attempts ({result.retries} retries):",
+            file=sys.stderr,
+        )
+        for f in result.failed:
+            print(
+                f"  {f.workload}: [{f.exc_type}] after {f.attempts} "
+                f"attempt(s)",
+                file=sys.stderr,
+            )
+    if result.interrupted:
+        # Interrupted wins over degraded: the operator asked the
+        # campaign to stop, and the distinct code tells wrappers the
+        # checkpoint is resumable rather than the sweep broken.
+        print(
+            f"INTERRUPTED by {result.interrupted}: checkpoint and "
+            f"manifest flushed; rerun with --resume to finish",
+            file=sys.stderr,
+        )
+        return 4
+    return 3 if result.degraded else 0
+
+
 def _cmd_figure(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+    """Regenerate a paper figure.
+
+    Figure 2 runs one ESTEEM simulation in process.  Figures 3-6 are a
+    (workload x {ESTEEM, RPV}) campaign on :func:`resilient_sweep`, with
+    the core count and retention fixed by the figure number; the exit
+    status follows ``repro sweep`` (3 when degraded, 4 when interrupted).
+    """
     profiler = _make_profiler(args)
     if args.number == 2:
-        runner = Runner(config, seed=args.seed, profiler=profiler)
+        runner = Runner(_build_config(args), seed=args.seed, profiler=profiler)
         _result, points = fig2_reconfiguration_timeline(runner, args.workload)
         rows = [
             [p.interval, p.active_ratio_pct, " ".join(map(str, p.ways_per_module))]
@@ -190,88 +254,52 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         _finish_profile(profiler)
         return 0
 
-    cores = 2 if args.number in (4, 6) else 1
-    retention = 40.0 if args.number in (5, 6) else 50.0
-    config = SimConfig.scaled(
-        num_cores=cores,
-        retention_us=retention,
-        instructions_per_core=args.instructions,
-    )
-    if cores == 1:
-        workloads = [b.name for b in ALL_BENCHMARKS]
-    else:
-        workloads = [m.acronym for m in DUAL_CORE_MIXES]
-    if args.workloads:
-        workloads = args.workloads.split(",")
     if args.jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
-    cache = _result_cache(args)
-    if args.jobs > 1:
-        raw = parallel_compare(
-            config, workloads, ("esteem", "rpv"),
-            seed=args.seed, jobs=args.jobs,
-            progress=not args.quiet, cache=cache,
+        print(f"error: --jobs must be at least 1, got {args.jobs}",
+              file=sys.stderr)
+        return 2
+    args.cores = 2 if args.number in (4, 6) else 1
+    args.retention = 40.0 if args.number in (5, 6) else 50.0
+    config = _build_config(args)
+    span = (
+        profiler.span(f"figure:{args.number}") if profiler is not None
+        else nullcontext()
+    )
+    with span:
+        result = resilient_sweep(
+            config,
+            _workload_list(args, args.cores),
+            ("esteem", "rpv"),
+            seed=args.seed,
+            jobs=args.jobs,
+            progress=ProgressReporter(
+                0, label=f"figure{args.number}", enabled=not args.quiet
+            ),
+            cache=_result_cache(args),
         )
-        rows = _figure_rows_from_raw(raw)
-    else:
-        runner = Runner(config, seed=args.seed, profiler=profiler)
-        if args.verbose and not args.quiet:
-            from repro.obs import ProgressReporter
+    raw = result.comparisons
+    if result.completed:
+        table = [
+            [r.workload, r.esteem_energy_saving_pct, r.rpv_energy_saving_pct,
+             r.esteem_weighted_speedup, r.rpv_weighted_speedup]
+            for r in figure_rows(raw)
+        ]
+        es, rpv = aggregate(raw["esteem"]), aggregate(raw["rpv"])
+        table.append(["AVERAGE", es.energy_saving_pct, rpv.energy_saving_pct,
+                      es.weighted_speedup, rpv.weighted_speedup])
+        print(format_table(
+            ["workload", "ES sav%", "RPV sav%", "ES WS", "RPV WS"],
+            table,
+            title=f"Figure {args.number}: {args.cores}-core, "
+                  f"{args.retention:.0f}us retention",
+        ))
+        if args.csv:
+            from repro.experiments.export import write_comparisons_csv
 
-            reporter = ProgressReporter(len(workloads), label="figure")
-            rows, raw = [], {"esteem": [], "rpv": []}
-            from repro.experiments.figures import per_workload_comparison as _pwc
-
-            for workload in workloads:
-                r, partial = _pwc(runner, [workload], cache=cache)
-                rows.extend(r)
-                raw["esteem"].extend(partial["esteem"])
-                raw["rpv"].extend(partial["rpv"])
-                reporter.advance(workload)
-            reporter.finish()
-        else:
-            rows, raw = per_workload_comparison(runner, workloads, cache=cache)
-    table = [
-        [r.workload, r.esteem_energy_saving_pct, r.rpv_energy_saving_pct,
-         r.esteem_weighted_speedup, r.rpv_weighted_speedup]
-        for r in rows
-    ]
-    es, rpv = aggregate(raw["esteem"]), aggregate(raw["rpv"])
-    table.append(["AVERAGE", es.energy_saving_pct, rpv.energy_saving_pct,
-                  es.weighted_speedup, rpv.weighted_speedup])
-    print(format_table(
-        ["workload", "ES sav%", "RPV sav%", "ES WS", "RPV WS"],
-        table,
-        title=f"Figure {args.number}: {cores}-core, {retention:.0f}us retention",
-    ))
-    if args.csv:
-        from repro.experiments.export import write_comparisons_csv
-
-        path = write_comparisons_csv(raw["esteem"] + raw["rpv"], args.csv)
-        print(f"CSV written to {path}")
+            path = write_comparisons_csv(raw["esteem"] + raw["rpv"], args.csv)
+            print(f"CSV written to {path}")
     _finish_profile(profiler)
-    return 0
-
-
-def _figure_rows_from_raw(raw):
-    from repro.experiments.figures import FigureRow
-
-    rows = []
-    for es, rpv in zip(raw["esteem"], raw["rpv"]):
-        rows.append(
-            FigureRow(
-                workload=es.workload,
-                esteem_energy_saving_pct=es.energy_saving_pct,
-                rpv_energy_saving_pct=rpv.energy_saving_pct,
-                esteem_weighted_speedup=es.weighted_speedup,
-                rpv_weighted_speedup=rpv.weighted_speedup,
-                esteem_rpki_decrease=es.rpki_decrease,
-                rpv_rpki_decrease=rpv.rpki_decrease,
-                esteem_mpki_increase=es.mpki_increase,
-                esteem_active_ratio_pct=es.active_ratio_pct,
-            )
-        )
-    return rows
+    return _report_outcome(result)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -293,17 +321,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
     config = SimConfig.scaled(
         num_cores=cores, instructions_per_core=args.instructions
     )
-    if system == "single":
-        workloads = [b.name for b in ALL_BENCHMARKS]
-    else:
-        workloads = [m.acronym for m in DUAL_CORE_MIXES]
-    if args.workloads:
-        workloads = args.workloads.split(",")
+    workloads = _workload_list(args, cores)
     profiler = _make_profiler(args)
     variants = SENSITIVITY_VARIANTS[system]
     rows = []
-    from repro.obs import ProgressReporter
-
     reporter = ProgressReporter(
         len(variants), label=f"table3-{system}", enabled=not args.quiet
     )
@@ -400,7 +421,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     parent; the checkpoint was flushed and ``--resume`` finishes the
     rest bit-for-bit).
     """
-    from repro.experiments.parallel import resilient_sweep
     from repro.obs.campaign import CampaignDashboard
 
     config = _build_config(args)
@@ -424,13 +444,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "error: --quarantine-after must be at least 1", file=sys.stderr
         )
         return 2
-    if config.num_cores == 1:
-        workloads = [b.name for b in ALL_BENCHMARKS]
-    else:
-        workloads = [m.acronym for m in DUAL_CORE_MIXES]
-    if args.workloads:
-        workloads = args.workloads.split(",")
-
+    workloads = _workload_list(args, config.num_cores)
     plan = _load_plan(args)
     cache = _result_cache(args)
     # The dashboard renders live on a TTY and degrades to the classic
@@ -491,51 +505,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         atomic_write_json(args.manifest, manifest)
         print(f"manifest written to {args.manifest}")
-    if result.quarantined:
-        print(
-            f"QUARANTINED: {len(result.quarantined)} poison workload(s) "
-            f"pulled from the run queue:",
-            file=sys.stderr,
-        )
-        for q in result.quarantined:
-            print(
-                f"  {q.workload}: [{q.exc_type}] killed {q.workers} "
-                f"distinct worker(s) over {q.attempts} attempt(s)",
-                file=sys.stderr,
-            )
-    if result.skipped:
-        print(
-            f"SKIPPED: {len(result.skipped)} workload(s) cancelled "
-            f"({result.skipped[0].reason}); rerun with --resume to "
-            f"finish them:",
-            file=sys.stderr,
-        )
-        for s in result.skipped:
-            print(f"  {s.workload}: skipped-{s.reason}", file=sys.stderr)
-    if result.failed:
-        print(
-            f"DEGRADED: {len(result.failed)} workload(s) lost after "
-            f"{result.attempts} attempts ({result.retries} retries):",
-            file=sys.stderr,
-        )
-        for f in result.failed:
-            print(
-                f"  {f.workload}: [{f.exc_type}] after {f.attempts} "
-                f"attempt(s)",
-                file=sys.stderr,
-            )
-    if result.interrupted:
-        # Interrupted wins over degraded: the operator asked the
-        # campaign to stop, and the distinct code tells wrappers the
-        # checkpoint is resumable rather than the sweep broken.
-        print(
-            f"INTERRUPTED by {result.interrupted}: checkpoint and "
-            f"manifest flushed; rerun with --resume to finish",
-            file=sys.stderr,
-        )
-        return 4
-    if result.degraded:
-        return 3
+    code = _report_outcome(result)
+    if code:
+        return code
     if not args.quiet:
         print(
             f"sweep complete: {len(result.completed)} workload(s), "
@@ -859,10 +831,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-worker event ring capacity; the tail of "
                           "each unit's trace ships home in the manifest "
                           "(default 0: metrics only, keeps the fast path)")
-    swp.add_argument("--executor", default=None,
-                     choices=["pool", "spawn", "inprocess", "remote"],
-                     help="execution backend from the executor registry "
-                          "(default: the warm worker pool)")
+    swp.add_argument("--executor", default="pool", choices=sorted(EXECUTORS),
+                     help="execution backend (default: pool, the warm "
+                          "worker pool)")
     swp.add_argument("--heartbeat", type=float, default=None,
                      metavar="SECONDS",
                      help="worker heartbeat interval; a worker whose "

@@ -20,6 +20,7 @@ __all__ = [
     "FigureRow",
     "TimelinePoint",
     "fig2_reconfiguration_timeline",
+    "figure_rows",
     "per_workload_comparison",
 ]
 
@@ -71,72 +72,42 @@ class FigureRow:
     esteem_active_ratio_pct: float
 
 
-def _probe_cache(
-    cache, runner: Runner, workload: str, techniques: tuple[str, ...]
-) -> tuple[str, list[RunComparison] | None]:
-    """``(fingerprint, hit-or-None)`` for one figure unit.
+def figure_rows(
+    comparisons: dict[str, list[RunComparison]],
+) -> list[FigureRow]:
+    """One :class:`FigureRow` per workload from ESTEEM + RPV comparisons.
 
-    Fingerprint is ``""`` when the unit cannot be fingerprinted; a hit is
-    returned in technique order and validated against the unit it claims
-    to be (anything off counts as a miss).
+    ``comparisons`` is keyed by technique with both lists in the same
+    workload order -- the shape :func:`per_workload_comparison` and
+    :func:`~repro.experiments.parallel.resilient_sweep` return.
     """
-    if cache is None:
-        return "", None
-    from repro.experiments.result_cache import unit_fingerprint
-
-    try:
-        fingerprint = unit_fingerprint(
-            runner.config, workload, techniques, runner.seed, runner.fault_plan
+    return [
+        FigureRow(
+            workload=esteem.workload,
+            esteem_energy_saving_pct=esteem.energy_saving_pct,
+            rpv_energy_saving_pct=rpv.energy_saving_pct,
+            esteem_weighted_speedup=esteem.weighted_speedup,
+            rpv_weighted_speedup=rpv.weighted_speedup,
+            esteem_rpki_decrease=esteem.rpki_decrease,
+            rpv_rpki_decrease=rpv.rpki_decrease,
+            esteem_mpki_increase=esteem.mpki_increase,
+            esteem_active_ratio_pct=esteem.active_ratio_pct,
         )
-    except Exception:
-        return "", None
-    hit = cache.get(fingerprint)
-    if hit is None:
-        return fingerprint, None
-    by_tech = {c.technique: c for c in hit if c.workload == workload}
-    if set(by_tech) != set(techniques) or len(hit) != len(techniques):
-        return fingerprint, None
-    return fingerprint, [by_tech[t] for t in techniques]
+        for esteem, rpv in zip(comparisons["esteem"], comparisons["rpv"])
+    ]
 
 
 def per_workload_comparison(
-    runner: Runner, workloads: list[str], cache=None
+    runner: Runner, workloads: list[str]
 ) -> tuple[list[FigureRow], dict[str, list[RunComparison]]]:
     """Run ESTEEM and RPV on every workload; build figure rows.
 
     Returns the rows plus the raw comparisons keyed by technique (for
-    aggregation).  With ``cache`` set (a
-    :class:`~repro.experiments.result_cache.ResultCache`), units whose
-    content fingerprint is already cached are served bit-for-bit without
-    simulating, and freshly computed units are stored back -- so
-    regenerating a figure after an unrelated change skips straight to
-    rendering.
+    aggregation).  This is the in-process path; ``repro figure`` runs the
+    same units through :func:`~repro.experiments.parallel.resilient_sweep`.
     """
-    techniques = ("esteem", "rpv")
-    rows: list[FigureRow] = []
     raw: dict[str, list[RunComparison]] = {"esteem": [], "rpv": []}
     for workload in workloads:
-        fingerprint, hit = _probe_cache(cache, runner, workload, techniques)
-        if hit is not None:
-            esteem, rpv = hit
-        else:
-            esteem = runner.compare(workload, "esteem")
-            rpv = runner.compare(workload, "rpv")
-            if cache is not None and fingerprint:
-                cache.put(fingerprint, [esteem, rpv])
-        raw["esteem"].append(esteem)
-        raw["rpv"].append(rpv)
-        rows.append(
-            FigureRow(
-                workload=workload,
-                esteem_energy_saving_pct=esteem.energy_saving_pct,
-                rpv_energy_saving_pct=rpv.energy_saving_pct,
-                esteem_weighted_speedup=esteem.weighted_speedup,
-                rpv_weighted_speedup=rpv.weighted_speedup,
-                esteem_rpki_decrease=esteem.rpki_decrease,
-                rpv_rpki_decrease=rpv.rpki_decrease,
-                esteem_mpki_increase=esteem.mpki_increase,
-                esteem_active_ratio_pct=esteem.active_ratio_pct,
-            )
-        )
-    return rows, raw
+        for technique, comparisons in raw.items():
+            comparisons.append(runner.compare(workload, technique))
+    return figure_rows(raw), raw

@@ -1,9 +1,10 @@
-"""Process-parallel experiment execution.
+"""Process-parallel experiment execution: the one sweep driver.
 
 The figure/table sweeps are embarrassingly parallel across workloads: each
 (workload, techniques) unit regenerates its traces, runs the baseline once,
-and runs each technique against it.  This module fans those units out over
-worker processes.
+and runs each technique against it.  :func:`resilient_sweep` fans those
+units out over worker processes; ``repro sweep`` and ``repro figure``
+both run on it.
 
 Granularity note: parallelism is per *workload*, not per (workload,
 technique) -- the baseline run and the generated traces are shared between
@@ -15,8 +16,8 @@ Execution engines (:mod:`repro.experiments.pool`): by default
 workers that amortise interpreter start, module imports, trace state and
 memoised warm-L2 images across units, receive traces zero-copy as
 shared-memory handles, and are recycled only on crash or hang
-(``use_pool=False`` restores the one-spawn-per-attempt engine).  Both
-engines run the same timeout/retry/checkpoint/degradation state machine
+(``executor="spawn"`` selects the one-spawn-per-attempt engine).  Every
+engine runs the same timeout/retry/checkpoint/degradation state machine
 in this module, so resilience semantics are engine-independent.
 
 Results can additionally be served from a content-addressed
@@ -29,9 +30,9 @@ Observability: with ``progress=True`` (or a custom
 :class:`~repro.obs.profile.ProgressReporter`) each completed workload
 prints a progress + ETA line to stderr; each worker times its own unit
 with a profiling span and the wall time rides back with the results.
-Worker failures surface as :class:`ParallelWorkerError` naming the failing
-workload, with the worker-side traceback in the message -- not as a bare
-unpicklable exception from the pool.
+A failing unit surfaces as a :class:`FailedWorkload` naming the workload,
+with the worker-side traceback (carried by :class:`ParallelWorkerError`)
+in its ``detail``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import os
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as pipe_wait
 from typing import Any, Iterable, Sequence
@@ -48,7 +48,11 @@ from typing import Any, Iterable, Sequence
 from repro.config import SimConfig
 from repro.experiments import _trace_cache
 from repro.experiments.checkpoint import SweepCheckpoint, sweep_fingerprint
-from repro.experiments.result_cache import ResultCache, unit_fingerprint
+from repro.experiments.result_cache import (
+    ResultCache,
+    cached_unit,
+    unit_fingerprint,
+)
 from repro.experiments.runner import RunComparison, Runner, profiles_for
 from repro.experiments.supervise import (
     DeadlineBudget,
@@ -74,7 +78,6 @@ __all__ = [
     "SkippedWorkload",
     "SweepResult",
     "TRANSIENT_EXC_TYPES",
-    "parallel_compare",
     "resilient_sweep",
 ]
 
@@ -140,9 +143,9 @@ def _workload_task(
 ) -> tuple[list[RunComparison], float]:
     """Worker: all techniques for one workload (module-level: picklable).
 
-    ``args`` is ``(config, workload, techniques, seed, preloaded)`` with
-    an optional sixth element carrying a :class:`FaultPlan` whose
-    hardware faults (Plane 1) are injected into every simulated system.
+    ``args`` is ``(config, workload, techniques, seed, preloaded, plan)``;
+    ``plan`` is a :class:`FaultPlan` (or ``None``) whose hardware faults
+    (Plane 1) are injected into every simulated system.
 
     ``preloaded`` carries the parent's already-generated traces for this
     workload, either as :class:`Trace` objects (the NumPy columns ride
@@ -152,13 +155,17 @@ def _workload_task(
     its trace cache instead of regenerating; a handle whose trace is
     already cached (e.g. inherited across a fork, or installed by an
     earlier unit on a warm pool worker) is skipped so the warm copy and
-    its materialised list views survive.  Returns the comparisons plus
-    the unit's wall time; failures are re-raised as
-    :class:`ParallelWorkerError` so the parent knows which workload died
-    and (via ``exc_type``) what kind of exception killed it.
+    its materialised list views survive.
+
+    Runs under the attempt's worker observation context (see
+    :mod:`repro.obs.campaign`): a fresh per-attempt metrics registry, with
+    counters attributed per technique -- the baseline run is attributed
+    explicitly so technique deltas measure only their own simulation.
+    Returns the comparisons plus the unit's wall time; failures are
+    re-raised as :class:`ParallelWorkerError` so the parent knows which
+    workload died and (via ``exc_type``) what kind of exception killed it.
     """
-    config, workload, techniques, seed, preloaded, *rest = args
-    fault_plan: FaultPlan | None = rest[0] if rest else None
+    config, workload, techniques, seed, preloaded, fault_plan = args
     for (name, budget, trace_seed), shipped in preloaded.items():
         if isinstance(shipped, TraceShmHandle):
             if _trace_cache.contains(name, budget, trace_seed):
@@ -166,12 +173,6 @@ def _workload_task(
             shipped = Trace.from_shm(shipped)
         _trace_cache.put(name, budget, trace_seed, shipped)
     profiler = Profiler()
-    # When the resilient harness installed a worker observation context
-    # (see repro.obs.campaign), the unit runs with a fresh per-attempt
-    # metrics registry and attributes its counters per technique -- the
-    # baseline run is attributed explicitly so technique deltas measure
-    # only their own simulation.  Without a context (parallel_compare's
-    # ProcessPoolExecutor path) behaviour is unchanged.
     obs = current_worker_obs()
     try:
         with profiler.span(f"worker:{workload}") as span:
@@ -179,21 +180,15 @@ def _workload_task(
                 config,
                 seed=seed,
                 fault_plan=fault_plan,
-                metrics=obs.registry if obs is not None else None,
-                tracer=obs.tracer if obs is not None else None,
+                metrics=obs.registry,
+                tracer=obs.tracer,
             )
+            with obs.technique_span("baseline"):
+                runner.baseline(workload)
             comparisons = []
-            if obs is not None:
-                with obs.technique_span("baseline"):
-                    runner.baseline(workload)
-                for technique in techniques:
-                    with obs.technique_span(technique):
-                        comparisons.append(runner.compare(workload, technique))
-            else:
-                comparisons = [
-                    runner.compare(workload, technique)
-                    for technique in techniques
-                ]
+            for technique in techniques:
+                with obs.technique_span(technique):
+                    comparisons.append(runner.compare(workload, technique))
         return comparisons, span.wall_s
     except ParallelWorkerError:
         raise
@@ -201,152 +196,6 @@ def _workload_task(
         raise ParallelWorkerError(
             workload, traceback.format_exc(), type(exc).__name__
         ) from None
-
-
-def _cached_unit(
-    cache: ResultCache | None,
-    config: SimConfig,
-    workload: str,
-    techniques: tuple[str, ...],
-    seed: int,
-    plan: FaultPlan | None,
-) -> tuple[str, list[RunComparison] | None]:
-    """Probe the result cache for one unit.
-
-    Returns ``(fingerprint, comparisons-or-None)``.  The fingerprint is
-    ``""`` when the unit cannot be fingerprinted (unknown workload -- it
-    then runs uncached and fails with its real error).  A hit is
-    re-shaped into technique order and sanity-checked against the unit it
-    claims to be; anything off is a miss.
-    """
-    if cache is None:
-        return "", None
-    try:
-        fingerprint = unit_fingerprint(config, workload, techniques, seed, plan)
-    except Exception:
-        return "", None
-    hit = cache.get(fingerprint)
-    if hit is None:
-        return fingerprint, None
-    by_tech = {c.technique: c for c in hit if c.workload == workload}
-    if set(by_tech) != set(techniques) or len(hit) != len(techniques):
-        return fingerprint, None
-    return fingerprint, [by_tech[t] for t in techniques]
-
-
-def parallel_compare(
-    config: SimConfig,
-    workloads: Iterable[str],
-    techniques: Sequence[str] = ("esteem", "rpv"),
-    seed: int = 0,
-    jobs: int | None = None,
-    progress: bool | ProgressReporter = False,
-    cache: ResultCache | None = None,
-) -> dict[str, list[RunComparison]]:
-    """Run ``techniques`` on every workload, fanned out over processes.
-
-    Returns comparisons keyed by technique, in workload order -- the same
-    shape as running :meth:`Runner.compare_many` per technique, but using
-    up to ``jobs`` worker processes (default: the machine's CPU count).
-    Units found in ``cache`` are returned without running (bit-for-bit
-    identical, see :mod:`repro.experiments.result_cache`); fresh units
-    are stored back.
-
-    ``progress=True`` prints one per-workload completion line with an ETA
-    to stderr; pass a :class:`~repro.obs.profile.ProgressReporter` to
-    control the stream/label (its ``total`` is overridden).
-    """
-    from repro.experiments.pool import SharedTraceStore
-
-    workload_list = list(workloads)
-    if not workload_list:
-        raise ValueError("need at least one workload")
-    technique_tuple = tuple(techniques)
-    if not technique_tuple:
-        raise ValueError("need at least one technique")
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-
-    jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-    jobs = min(jobs, len(workload_list))
-
-    if isinstance(progress, ProgressReporter):
-        reporter = progress
-        reporter.total = len(workload_list)
-    else:
-        reporter = ProgressReporter(
-            len(workload_list), label="sweep", enabled=bool(progress)
-        )
-
-    results: list[list[RunComparison] | None] = [None] * len(workload_list)
-    fingerprints: list[str] = [""] * len(workload_list)
-    pending_units: list[int] = []
-    for i, w in enumerate(workload_list):
-        fingerprints[i], hit = _cached_unit(
-            cache, config, w, technique_tuple, seed, None
-        )
-        if hit is not None:
-            results[i] = hit
-            reporter.advance(f"{w} (cached)", 0.0)
-        else:
-            pending_units.append(i)
-
-    # Generate each needed trace exactly once in the parent (memoised
-    # process-wide, so repeated sweeps pay nothing).  Multi-process runs
-    # export the columns to shared memory and ship ~100-byte handles;
-    # the in-process path hands workers the traces directly.  Best
-    # effort: an unresolvable workload ships nothing, so the worker hits
-    # the same error itself and reports it as ParallelWorkerError.
-    store = SharedTraceStore() if jobs > 1 else None
-    try:
-        tasks = []
-        for i in pending_units:
-            w = workload_list[i]
-            preloaded: dict[Any, Any] = {}
-            try:
-                for key, profile in _trace_needs_for(config, w, seed):
-                    trace = _trace_cache.get_trace(profile, key[1], key[2])
-                    preloaded[key] = (
-                        store.acquire(key, trace) if store is not None
-                        else trace
-                    )
-            except Exception:
-                preloaded = {}
-            tasks.append((config, w, technique_tuple, seed, preloaded))
-
-        def complete(i: int, comparisons: list[RunComparison], wall_s: float):
-            results[i] = comparisons
-            if cache is not None and fingerprints[i]:
-                cache.put(fingerprints[i], comparisons)
-            reporter.advance(workload_list[i], wall_s)
-
-        if jobs == 1:
-            for i, task in zip(pending_units, tasks):
-                comparisons, unit_seconds = _workload_task(task)
-                complete(i, comparisons, unit_seconds)
-        elif tasks:
-            with ProcessPoolExecutor(max_workers=jobs) as executor:
-                pending = {
-                    executor.submit(_workload_task, task): i
-                    for i, task in zip(pending_units, tasks)
-                }
-                while pending:
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        i = pending.pop(future)
-                        comparisons, unit_seconds = future.result()
-                        complete(i, comparisons, unit_seconds)
-    finally:
-        if store is not None:
-            store.close()
-    reporter.finish()
-
-    out: dict[str, list[RunComparison]] = {t: [] for t in technique_tuple}
-    for per_workload in results:
-        assert per_workload is not None
-        for comparison in per_workload:
-            out[comparison.technique].append(comparison)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -408,8 +257,8 @@ class SkippedWorkload:
 class SweepResult:
     """Outcome of :func:`resilient_sweep`.
 
-    ``comparisons`` holds the surviving units keyed by technique (the
-    same shape :func:`parallel_compare` returns); ``failed`` is the
+    ``comparisons`` holds the surviving units keyed by technique, each
+    list in workload order; ``failed`` is the
     missing-workload manifest.  ``degraded`` is True when at least one
     unit was abandoned -- the surviving results are still exact (each
     unit is independent), the sweep is just incomplete.  ``cached``
@@ -561,26 +410,28 @@ def resilient_sweep(
     plan: FaultPlan | None = None,
     progress: bool | ProgressReporter = False,
     cache: ResultCache | None = None,
-    use_pool: bool = True,
     trace_events: int = 0,
-    executor: str | None = None,
+    executor: str = "pool",
     heartbeat_s: float | None = None,
-    heartbeat_misses: float = 2.0,
     quarantine_after: int | None = None,
     deadline_s: float | None = None,
 ) -> SweepResult:
-    """A :func:`parallel_compare` that survives hostile infrastructure.
+    """Run ``techniques`` on every workload, surviving hostile infrastructure.
 
+    Returns comparisons keyed by technique, in workload order -- the same
+    shape as running :meth:`Runner.compare_many` per technique, but using
+    up to ``jobs`` worker processes (default: the machine's CPU count).
     Each (workload, all-techniques) unit runs one attempt at a time in a
     worker process connected by a pipe, so the parent can enforce a
     per-attempt wall-clock ``timeout_s`` by terminating a hung worker --
     something a ``ProcessPoolExecutor`` cannot do to a running task.
-    With ``use_pool=True`` (the default) attempts are dispatched to the
+    With ``executor="pool"`` (the default) attempts are dispatched to the
     persistent warm-worker engine and traces travel as zero-copy
     shared-memory handles; a terminated or crashed worker is recycled,
-    every other worker stays warm.  ``use_pool=False`` spawns one
-    process per attempt (the PR 3 engine; the throughput benchmark's
-    baseline).  Failed attempts are classified by exception type:
+    every other worker stays warm.  ``executor="spawn"`` spawns one
+    process per attempt (the throughput benchmark's baseline), and
+    ``executor="inprocess"`` runs attempts on a thread in the parent
+    (for debugging).  Failed attempts are classified by exception type:
     transient ones (:data:`TRANSIENT_EXC_TYPES`: crashes, timeouts,
     corrupt results, broken pipes) are retried up to ``retries`` times
     with exponential backoff (``backoff_s * 2**(attempt-1)``);
@@ -620,12 +471,11 @@ def resilient_sweep(
     :class:`~repro.obs.campaign.CampaignDashboard`).
 
     Supervision (all off by default; see
-    :mod:`repro.experiments.supervise`): ``executor`` selects a backend
-    from the executor registry by name (``pool`` / ``spawn`` /
-    ``inprocess`` / ``remote``; default: ``use_pool``'s engine).  With
-    ``heartbeat_s`` set, workers beat on their result pipes and a worker
-    whose beats flatline is condemned as *hung* after ``heartbeat_misses``
-    missed intervals -- O(heartbeat interval) detection, retried as
+    :mod:`repro.experiments.supervise`): with ``heartbeat_s`` set,
+    workers beat on their result pipes and a worker whose beats flatline
+    is condemned as *hung* after
+    :data:`~repro.experiments.supervise.HEARTBEAT_MISSES` missed
+    intervals -- O(heartbeat interval) detection, retried as
     ``HeartbeatLost`` -- while a slow-but-alive worker that keeps beating
     runs to its ``timeout_s`` deadline.  With ``quarantine_after=N``, a
     unit whose attempts kill ``N`` *distinct* workers (crash / timeout /
@@ -661,20 +511,15 @@ def resilient_sweep(
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     jobs = min(jobs, len(workload_list))
 
-    executor_name = executor or ("pool" if use_pool else "spawn")
     obs_spec: dict[str, Any] = {}
     if trace_events:
         obs_spec["trace_capacity"] = trace_events
     if heartbeat_s is not None:
         obs_spec["heartbeat_s"] = heartbeat_s
-    executor_obj = create_executor(executor_name, jobs=jobs, obs_spec=obs_spec)
+    executor_obj = create_executor(executor, jobs=jobs, obs_spec=obs_spec)
     jobs = max(1, min(jobs, getattr(executor_obj, "max_concurrency", jobs)))
 
-    hb = (
-        HeartbeatMonitor(heartbeat_s, heartbeat_misses)
-        if heartbeat_s is not None
-        else None
-    )
+    hb = HeartbeatMonitor(heartbeat_s) if heartbeat_s is not None else None
     quarantine = QuarantineTracker(quarantine_after)
     budget: DeadlineBudget | None = None
 
@@ -734,8 +579,8 @@ def resilient_sweep(
         timeline.append(entry)
 
     # Zero-copy shared-memory trace shipping only pays off for the warm
-    # pool; spawn/inprocess/remote ship traces through the task pickle.
-    store = SharedTraceStore() if executor_name == "pool" else None
+    # pool; spawn/inprocess ship traces through the task pickle.
+    store = SharedTraceStore() if executor == "pool" else None
     results: list[list[RunComparison] | None] = [None] * len(workload_list)
     resumed: list[str] = []
     cached: list[str] = []
@@ -752,7 +597,7 @@ def resilient_sweep(
             note(w, 0, "resumed", "", rel_now(), rel_now(), "none")
             reporter.advance(w, 0.0)
             continue
-        unit_fp, hit = _cached_unit(
+        unit_fp, hit = cached_unit(
             cache, config, w, technique_tuple, seed, plan
         )
         if not unit_fp:
@@ -859,22 +704,7 @@ def resilient_sweep(
             for key in unit.shm_keys:
                 store.release(key)
 
-    def abandon(unit: _Unit, exc_type: str, detail: str) -> None:
-        failed.append(
-            FailedWorkload(
-                workload=unit.workload,
-                attempts=unit.attempt,
-                exc_type=exc_type,
-                detail=detail,
-                telemetry=unit.last_telemetry,
-            )
-        )
-        settle(unit)
-        reporter.advance(f"{unit.workload} (FAILED)", 0.0)
-
-    def dispose(
-        unit: _Unit, exc_type: str, detail: str, worker: int = -1
-    ) -> str:
+    def dispose(unit: _Unit, exc_type: str, detail: str, worker: int) -> str:
         """Retry, quarantine, or abandon a failed attempt.
 
         Returns the outcome label.  Quarantine outranks both retry and
@@ -917,19 +747,49 @@ def resilient_sweep(
             )
             backing_off.append((time.monotonic() + delay, unit))
             return "retry"
-        abandon(unit, exc_type, detail)
+        failed.append(
+            FailedWorkload(
+                workload=unit.workload,
+                attempts=unit.attempt,
+                exc_type=exc_type,
+                detail=detail,
+                telemetry=unit.last_telemetry,
+            )
+        )
+        settle(unit)
+        reporter.advance(f"{unit.workload} (FAILED)", 0.0)
         return "failed"
+
+    def fail(
+        unit: _Unit, started_s: float, exc_type: str, detail: str, worker: int
+    ) -> None:
+        """Dispose of a failed attempt and record it in the timeline."""
+        outcome = dispose(unit, exc_type, detail, worker)
+        note(
+            unit.workload, unit.attempt, outcome, exc_type,
+            started_s, rel_now(), unit.last_telemetry,
+        )
+
+    def abort_attempt(conn) -> tuple[_Unit, float, int]:
+        """Stop a running attempt, salvaging its telemetry status.
+
+        Returns ``(unit, started_s, worker_id)``.  abort() SIGTERMs the
+        worker and waits briefly for the partial telemetry snapshot its
+        abort handler flushes.
+        """
+        unit, _deadline, started_s = running.pop(conn)
+        if hb is not None:
+            hb.forget(conn)
+        worker = executor_obj.worker_id(conn)
+        salvage = executor_obj.abort(conn)
+        unit.last_telemetry = _telemetry_status(telemetry_from_message(salvage))
+        return unit, started_s, worker
 
     def cancel_remaining(reason: str) -> None:
         """Fair cancellation: abort in-flight attempts, record every
         unfinished unit as ``skipped-<reason>`` -- never silently drop."""
         for conn in list(running):
-            unit, _deadline, started_s = running.pop(conn)
-            if hb is not None:
-                hb.forget(conn)
-            salvage = executor_obj.abort(conn)
-            telemetry = telemetry_from_message(salvage)
-            unit.last_telemetry = _telemetry_status(telemetry)
+            unit, started_s, _worker = abort_attempt(conn)
             skipped.append(
                 SkippedWorkload(unit.workload, reason, unit.attempt)
             )
@@ -1056,59 +916,42 @@ def resilient_sweep(
                     telemetry = telemetry_from_message(message)
                     unit.last_telemetry = _telemetry_status(telemetry)
                     if message is None:
-                        outcome = dispose(
-                            unit,
-                            "WorkerCrash",
+                        fail(
+                            unit, started_s, "WorkerCrash",
                             f"worker exited without a result "
                             f"(exitcode={exitcode})",
-                            worker=wid,
+                            wid,
                         )
-                        note(
-                            unit.workload, unit.attempt, outcome,
-                            "WorkerCrash", started_s, rel_now(),
-                            unit.last_telemetry,
-                        )
-                    elif message[0] == "ok":
-                        validated = _validate_unit_result(message[1])
-                        if validated is None:
-                            outcome = dispose(
-                                unit,
-                                "CorruptResult",
-                                f"worker returned a malformed result: "
-                                f"{type(message[1]).__name__}",
-                                worker=wid,
-                            )
-                            note(
-                                unit.workload, unit.attempt, outcome,
-                                "CorruptResult", started_s, rel_now(),
-                                unit.last_telemetry,
-                            )
-                        else:
-                            comparisons, wall_s = validated
-                            results[unit.index] = comparisons
-                            settle(unit)
-                            if ckpt is not None:
-                                ckpt.record(comparisons)
-                            if cache is not None and unit.fingerprint:
-                                cache.put(unit.fingerprint, comparisons)
-                            # Only successful attempts feed the campaign
-                            # totals: merged counters stay the exact sum
-                            # of the units that produced results.
-                            agg.add_unit(unit.workload, telemetry)
-                            note(
-                                unit.workload, unit.attempt, "ok", "",
-                                started_s, rel_now(), unit.last_telemetry,
-                            )
-                            reporter.advance(unit.workload, wall_s)
-                    else:
+                        continue
+                    if message[0] != "ok":
                         _tag, exc_type, detail, *_rest = message
-                        outcome = dispose(
-                            unit, exc_type, detail, worker=wid
+                        fail(unit, started_s, exc_type, detail, wid)
+                        continue
+                    validated = _validate_unit_result(message[1])
+                    if validated is None:
+                        fail(
+                            unit, started_s, "CorruptResult",
+                            f"worker returned a malformed result: "
+                            f"{type(message[1]).__name__}",
+                            wid,
                         )
-                        note(
-                            unit.workload, unit.attempt, outcome, exc_type,
-                            started_s, rel_now(), unit.last_telemetry,
-                        )
+                        continue
+                    comparisons, wall_s = validated
+                    results[unit.index] = comparisons
+                    settle(unit)
+                    if ckpt is not None:
+                        ckpt.record(comparisons)
+                    if cache is not None and unit.fingerprint:
+                        cache.put(unit.fingerprint, comparisons)
+                    # Only successful attempts feed the campaign totals:
+                    # merged counters stay the exact sum of the units
+                    # that produced results.
+                    agg.add_unit(unit.workload, telemetry)
+                    note(
+                        unit.workload, unit.attempt, "ok", "",
+                        started_s, rel_now(), unit.last_telemetry,
+                    )
+                    reporter.advance(unit.workload, wall_s)
                 # Enforce wall-clock deadlines on whoever is still
                 # running.  A worker that is *beating* but slow lands
                 # here -- slow-but-alive runs to its full deadline.
@@ -1119,55 +962,29 @@ def resilient_sweep(
                     if deadline is not None and now >= deadline
                 ]
                 for conn in overdue:
-                    unit, _deadline, started_s = running.pop(conn)
-                    if hb is not None:
-                        hb.forget(conn)
-                    wid = executor_obj.worker_id(conn)
-                    # abort() SIGTERMs the worker and waits briefly for
-                    # the partial telemetry snapshot its abort handler
-                    # flushes.
-                    salvage = executor_obj.abort(conn)
-                    telemetry = telemetry_from_message(salvage)
-                    unit.last_telemetry = _telemetry_status(telemetry)
-                    outcome = dispose(
-                        unit,
-                        "TimeoutError",
+                    unit, started_s, worker = abort_attempt(conn)
+                    fail(
+                        unit, started_s, "TimeoutError",
                         f"attempt exceeded the {timeout_s:g}s wall-clock "
                         f"timeout and was terminated",
-                        worker=wid,
-                    )
-                    note(
-                        unit.workload, unit.attempt, outcome,
-                        "TimeoutError", started_s, rel_now(),
-                        unit.last_telemetry,
+                        worker,
                     )
                 # A worker whose beats flatlined is *hung*: condemned in
                 # O(heartbeat window), not O(unit timeout).
                 if hb is not None:
                     for conn in hb.overdue():
-                        entry = running.pop(conn, None)
-                        hb.forget(conn)
-                        if entry is None:
+                        if conn not in running:
+                            hb.forget(conn)
                             continue
-                        unit, _deadline, started_s = entry
                         hung_detected += 1
-                        wid = executor_obj.worker_id(conn)
-                        salvage = executor_obj.abort(conn)
-                        telemetry = telemetry_from_message(salvage)
-                        unit.last_telemetry = _telemetry_status(telemetry)
-                        outcome = dispose(
-                            unit,
-                            "HeartbeatLost",
+                        unit, started_s, worker = abort_attempt(conn)
+                        fail(
+                            unit, started_s, "HeartbeatLost",
                             f"no heartbeat for more than "
                             f"{hb.window_s:g}s ({hb.interval_s:g}s "
                             f"interval x {hb.misses:g} misses); worker "
                             f"presumed hung and terminated",
-                            worker=wid,
-                        )
-                        note(
-                            unit.workload, unit.attempt, outcome,
-                            "HeartbeatLost", started_s, rel_now(),
-                            unit.last_telemetry,
+                            worker,
                         )
                 push_status()
     finally:
@@ -1189,9 +1006,9 @@ def resilient_sweep(
         for comparison in per_workload:
             out[comparison.technique].append(comparison)
     supervision = {
-        "executor": executor_name,
+        "executor": executor,
         "heartbeat_s": heartbeat_s,
-        "heartbeat_misses": heartbeat_misses if heartbeat_s else None,
+        "heartbeat_misses": hb.misses if hb is not None else None,
         "heartbeats_received": hb.beats_received if hb is not None else 0,
         "hung_detected": hung_detected,
         "deadline_s": deadline_s,

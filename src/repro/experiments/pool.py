@@ -543,7 +543,7 @@ class SpawnExecutor:
 
     Kept behind the executor protocol as the cold-start reference the
     throughput benchmark compares against, and as a fallback engine
-    (``resilient_sweep(..., use_pool=False)``).
+    (``resilient_sweep(..., executor="spawn")``).
     """
 
     def __init__(self, mp_context=None, obs_spec: dict | None = None) -> None:

@@ -5,10 +5,11 @@ pure function of its inputs: the benchmark profile parameters, the
 instruction budget, the trace seed, the technique list, the system
 configuration, the fault plan, and the simulation engine itself.
 :func:`unit_fingerprint` hashes exactly that closure; :class:`ResultCache`
-maps the hash to the unit's serialised comparisons on disk.  ``repro
-sweep``, ``parallel_compare`` and figure regeneration probe it before
-running a unit, so re-plotting a figure after an unrelated edit skips
-straight to rendering.
+maps the hash to the unit's serialised comparisons on disk.
+:func:`~repro.experiments.parallel.resilient_sweep` -- behind both
+``repro sweep`` and ``repro figure`` -- probes it through
+:func:`cached_unit` before running a unit, so re-plotting a figure after
+an unrelated edit skips straight to rendering.
 
 Why this is sound: comparisons round-trip through
 :func:`~repro.experiments.runner.comparison_to_dict`, whose JSON float
@@ -45,7 +46,12 @@ from repro.obs.metrics import get_default_registry
 from repro.timing.system import SIM_ENGINE_VERSION
 from repro.util import atomic_write_json, stable_fingerprint
 
-__all__ = ["ResultCache", "default_cache_dir", "unit_fingerprint"]
+__all__ = [
+    "ResultCache",
+    "cached_unit",
+    "default_cache_dir",
+    "unit_fingerprint",
+]
 
 _MAGIC = "repro-sweep-result-cache-v1"
 
@@ -161,3 +167,34 @@ class ResultCache:
             return
         self.stores += 1
         get_default_registry().counter("sweep_cache.stores").inc()
+
+
+def cached_unit(
+    cache: ResultCache | None,
+    config: SimConfig,
+    workload: str,
+    techniques: tuple[str, ...],
+    seed: int,
+    plan: FaultPlan | None,
+) -> tuple[str, list[RunComparison] | None]:
+    """Probe the result cache for one unit.
+
+    Returns ``(fingerprint, comparisons-or-None)``.  The fingerprint is
+    ``""`` when the unit cannot be fingerprinted (unknown workload -- it
+    then runs uncached and fails with its real error).  A hit is
+    re-shaped into technique order and sanity-checked against the unit it
+    claims to be; anything off is a miss.
+    """
+    if cache is None:
+        return "", None
+    try:
+        fingerprint = unit_fingerprint(config, workload, techniques, seed, plan)
+    except Exception:
+        return "", None
+    hit = cache.get(fingerprint)
+    if hit is None:
+        return fingerprint, None
+    by_tech = {c.technique: c for c in hit if c.workload == workload}
+    if set(by_tech) != set(techniques) or len(hit) != len(techniques):
+        return fingerprint, None
+    return fingerprint, [by_tech[t] for t in techniques]

@@ -1,29 +1,18 @@
-"""Supervised execution: executor registry + campaign guardrails.
+"""Supervised execution: executor backends + campaign guardrails.
 
-The PR 4 executors (warm pool, spawn-per-attempt) speak a small protocol
--- ``start`` / ``finish`` / ``abort`` / ``close`` -- that
-:func:`~repro.experiments.parallel.resilient_sweep` drives.  This module
-generalises that seam in two directions:
-
-**Registry.**  Backends become configuration, not code:
-:func:`create_executor` resolves a name (``pool``, ``spawn``,
-``inprocess``, ``remote``) to a factory registered via
-:func:`register_executor`, so the CLI's ``--executor`` flag and the
-future ``repro serve`` daemon can select engines without importing them.
-Two new backends round out the registry:
-
-* :class:`InProcessExecutor` runs attempts on daemon *threads* in the
-  parent process -- no fork, no pipes to a child, ideal for debugging a
-  unit under ``pdb`` and for environments where ``fork`` is unavailable.
-  It cannot contain a hard crash (an ``os._exit`` chaos action would
-  take the parent down) and cannot interrupt a running attempt, so
-  ``abort`` merely detaches; it advertises ``max_concurrency = 1``.
-* :class:`RemoteStubExecutor` is the shape of the future remote/ssh
-  backend: it validates its host config, accounts the bytes each
-  attempt's payload would ship over the wire, and loops back to a local
-  :class:`~repro.experiments.pool.SpawnExecutor` (one fresh process per
-  attempt is exactly the remote execution model).  Non-local hosts raise
-  ``NotImplementedError`` today instead of silently running locally.
+The executors (warm pool, spawn-per-attempt) speak a small protocol --
+``start`` / ``finish`` / ``abort`` / ``close`` -- that
+:func:`~repro.experiments.parallel.resilient_sweep` drives.
+:func:`create_executor` resolves a backend name from :data:`EXECUTORS`
+(``pool``, ``spawn``, ``inprocess``); the CLI's ``--executor`` flag takes
+its choices from the same dict.  Besides the two process engines in
+:mod:`repro.experiments.pool`, this module provides
+:class:`InProcessExecutor`, which runs attempts on daemon *threads* in
+the parent process -- no fork, no pipes to a child, ideal for debugging
+a unit under ``pdb`` and for environments where ``fork`` is unavailable.
+It cannot contain a hard crash (an ``os._exit`` chaos action would take
+the parent down) and cannot interrupt a running attempt, so ``abort``
+merely detaches; it advertises ``max_concurrency = 1``.
 
 **Supervision primitives.**  Small, independently testable pieces the
 sweep loop composes:
@@ -33,7 +22,8 @@ sweep loop composes:
   :mod:`repro.experiments.pool`).  A worker whose beats stop is *hung*
   and is detected after ``misses`` missed intervals -- O(heartbeat
   interval), not O(unit timeout) -- while a slow-but-alive worker keeps
-  beating and is left to run to its deadline.
+  beating and is left to run to its deadline.  The sweep uses
+  :data:`HEARTBEAT_MISSES` missed intervals.
 * :class:`QuarantineTracker` -- fingerprint-keyed ledger of attempts
   that *killed their worker* (crash / hang / lost heartbeat).  A unit
   that takes down ``threshold`` distinct workers is poison: it is pulled
@@ -55,7 +45,6 @@ sweep loop composes:
 
 from __future__ import annotations
 
-import pickle
 import random
 import signal
 import threading
@@ -67,16 +56,15 @@ from repro.util import stable_fingerprint
 __all__ = [
     "CampaignInterrupted",
     "DeadlineBudget",
+    "EXECUTORS",
+    "HEARTBEAT_MISSES",
     "HeartbeatMonitor",
     "InProcessExecutor",
     "LETHAL_EXC_TYPES",
     "ParentSignalWatch",
     "QuarantineTracker",
-    "RemoteStubExecutor",
-    "available_executors",
     "create_executor",
     "full_jitter_delay",
-    "register_executor",
 ]
 
 #: Exception type names that mean an attempt *took its worker down*
@@ -89,72 +77,52 @@ LETHAL_EXC_TYPES: frozenset[str] = frozenset(
 )
 
 
+#: Missed heartbeat intervals after which a silent worker is condemned
+#: as hung (the ``--heartbeat`` help quotes this value).
+HEARTBEAT_MISSES = 2.0
+
+
 # ----------------------------------------------------------------------
-# Executor registry
+# Executor backends
 # ----------------------------------------------------------------------
 
-_REGISTRY: dict[str, Callable[..., Any]] = {}
+
+def _make_pool(jobs: int, obs_spec: dict | None):
+    from repro.experiments.pool import WorkerPool
+
+    return WorkerPool(jobs, obs_spec=obs_spec)
 
 
-def register_executor(
-    name: str, factory: Callable[..., Any], replace: bool = False
-) -> None:
-    """Register an executor backend under ``name``.
+def _make_spawn(jobs: int, obs_spec: dict | None):
+    from repro.experiments.pool import SpawnExecutor
 
-    ``factory(jobs=..., obs_spec=..., **config)`` must return an object
-    speaking the executor protocol (``start``/``finish``/``abort``/
-    ``close`` plus the ``workers_spawned``/``workers_recycled`` counters
-    and ``worker_id``).  Re-registering an existing name requires
-    ``replace=True`` so a typo cannot silently shadow a builtin.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError("executor name must be a non-empty string")
-    if name in _REGISTRY and not replace:
-        raise ValueError(
-            f"executor {name!r} is already registered; "
-            f"pass replace=True to override"
-        )
-    _REGISTRY[name] = factory
+    return SpawnExecutor(obs_spec=obs_spec)
 
 
-def available_executors() -> list[str]:
-    """Names the registry can resolve, sorted."""
-    return sorted(_REGISTRY)
+def _make_inprocess(jobs: int, obs_spec: dict | None):
+    return InProcessExecutor(obs_spec=obs_spec)
 
 
-def create_executor(
-    name: str, jobs: int = 1, obs_spec: dict | None = None, **config: Any
-):
-    """Instantiate the backend registered under ``name``."""
-    factory = _REGISTRY.get(name)
+#: Backend name -> factory ``(jobs, obs_spec)`` returning an object that
+#: speaks the executor protocol (``start``/``finish``/``abort``/``close``
+#: plus ``worker_id`` and the ``workers_spawned``/``workers_recycled``
+#: counters).
+EXECUTORS: dict[str, Callable[[int, dict | None], Any]] = {
+    "pool": _make_pool,
+    "spawn": _make_spawn,
+    "inprocess": _make_inprocess,
+}
+
+
+def create_executor(name: str, jobs: int = 1, obs_spec: dict | None = None):
+    """Instantiate the backend named ``name`` (a key of :data:`EXECUTORS`)."""
+    factory = EXECUTORS.get(name)
     if factory is None:
         raise ValueError(
             f"unknown executor {name!r}; available: "
-            f"{', '.join(available_executors())}"
+            f"{', '.join(sorted(EXECUTORS))}"
         )
-    return factory(jobs=jobs, obs_spec=obs_spec, **config)
-
-
-def _make_pool(jobs: int = 1, obs_spec: dict | None = None, **config: Any):
-    from repro.experiments.pool import WorkerPool
-
-    return WorkerPool(jobs, obs_spec=obs_spec, **config)
-
-
-def _make_spawn(jobs: int = 1, obs_spec: dict | None = None, **config: Any):
-    from repro.experiments.pool import SpawnExecutor
-
-    return SpawnExecutor(obs_spec=obs_spec, **config)
-
-
-def _make_inprocess(
-    jobs: int = 1, obs_spec: dict | None = None, **config: Any
-):
-    return InProcessExecutor(obs_spec=obs_spec, **config)
-
-
-def _make_remote(jobs: int = 1, obs_spec: dict | None = None, **config: Any):
-    return RemoteStubExecutor(obs_spec=obs_spec, **config)
+    return factory(jobs, obs_spec)
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +145,7 @@ class InProcessExecutor:
     #: The sweep clamps its in-flight attempts to this.
     max_concurrency = 1
 
-    def __init__(self, obs_spec: dict | None = None, **_config: Any) -> None:
+    def __init__(self, obs_spec: dict | None = None) -> None:
         import multiprocessing
 
         self._ctx = multiprocessing
@@ -261,84 +229,6 @@ class InProcessExecutor:
 
 
 # ----------------------------------------------------------------------
-# Remote stub executor (loopback delegate)
-# ----------------------------------------------------------------------
-
-_LOCAL_HOSTS = ("loopback", "localhost", "127.0.0.1")
-
-
-class RemoteStubExecutor:
-    """Stub of the future remote backend.
-
-    Validates its host configuration, accounts the bytes each attempt's
-    request would ship over the wire (task + plan, pickled -- the same
-    payload a real transport would serialise), then executes on a local
-    :class:`~repro.experiments.pool.SpawnExecutor`: one fresh process
-    per attempt is exactly the execution model of a remote host.  A
-    non-local ``host`` raises ``NotImplementedError`` now rather than
-    silently running locally.
-    """
-
-    def __init__(
-        self,
-        host: str = "loopback",
-        obs_spec: dict | None = None,
-        mp_context=None,
-        **_config: Any,
-    ) -> None:
-        from repro.experiments.pool import SpawnExecutor
-
-        if host not in _LOCAL_HOSTS:
-            raise NotImplementedError(
-                f"remote executor host {host!r} is not implemented yet; "
-                f"only the loopback stub ({', '.join(_LOCAL_HOSTS)}) runs"
-            )
-        self.host = host
-        self.shipped_bytes = 0
-        self._delegate = SpawnExecutor(
-            mp_context=mp_context, obs_spec=obs_spec
-        )
-
-    def start(self, task: tuple, workload: str, attempt: int, plan: Any):
-        try:
-            self.shipped_bytes += len(
-                pickle.dumps((task, workload, attempt, plan))
-            )
-        except Exception:
-            pass  # unpicklable payloads fail in the delegate with a real error
-        return self._delegate.start(task, workload, attempt, plan)
-
-    def worker_id(self, conn) -> int:
-        return self._delegate.worker_id(conn)
-
-    def finish(self, conn, message: Any = ...) -> tuple[Any, int | None]:
-        if message is ...:
-            # Translate to the delegate's own "read the pipe" sentinel.
-            return self._delegate.finish(conn)
-        return self._delegate.finish(conn, message)
-
-    def abort(self, conn) -> Any:
-        return self._delegate.abort(conn)
-
-    def close(self) -> None:
-        self._delegate.close()
-
-    @property
-    def workers_spawned(self) -> int:
-        return self._delegate.workers_spawned
-
-    @property
-    def workers_recycled(self) -> int:
-        return self._delegate.workers_recycled
-
-
-register_executor("pool", _make_pool)
-register_executor("spawn", _make_spawn)
-register_executor("inprocess", _make_inprocess)
-register_executor("remote", _make_remote)
-
-
-# ----------------------------------------------------------------------
 # Heartbeats
 # ----------------------------------------------------------------------
 
@@ -354,7 +244,9 @@ class HeartbeatMonitor:
     is left alone until its unit deadline.
     """
 
-    def __init__(self, interval_s: float, misses: float = 2.0) -> None:
+    def __init__(
+        self, interval_s: float, misses: float = HEARTBEAT_MISSES
+    ) -> None:
         if interval_s <= 0:
             raise ValueError("heartbeat interval must be positive")
         if misses <= 0:

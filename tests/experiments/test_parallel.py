@@ -1,11 +1,11 @@
-"""Tests for process-parallel experiment execution."""
+"""Tests for process-parallel experiment execution on ``resilient_sweep``."""
 
 import io
 
 import pytest
 
 from repro.config import SimConfig
-from repro.experiments.parallel import ParallelWorkerError, parallel_compare
+from repro.experiments.parallel import resilient_sweep
 from repro.experiments.runner import Runner
 from repro.obs import ProgressReporter
 
@@ -14,12 +14,14 @@ CFG_KW = dict(instructions_per_core=400_000)
 
 
 class TestParallelCompare:
+    """The sweep as a parallel technique-vs-baseline comparison."""
+
     def test_matches_sequential_exactly(self):
         config = SimConfig.scaled(**CFG_KW)
-        parallel = parallel_compare(config, WORKLOADS, ("esteem",), jobs=2)
+        parallel = resilient_sweep(config, WORKLOADS, ("esteem",), jobs=2)
         runner = Runner(config)
         sequential = runner.compare_many(WORKLOADS, "esteem")
-        for p, s in zip(parallel["esteem"], sequential):
+        for p, s in zip(parallel.comparisons["esteem"], sequential):
             assert p.workload == s.workload
             assert p.result.total_cycles == s.result.total_cycles
             assert p.result.refreshes == s.result.refreshes
@@ -27,32 +29,35 @@ class TestParallelCompare:
 
     def test_multiple_techniques_share_workload_order(self):
         config = SimConfig.scaled(**CFG_KW)
-        out = parallel_compare(config, WORKLOADS, ("esteem", "rpv"), jobs=2)
+        out = resilient_sweep(
+            config, WORKLOADS, ("esteem", "rpv"), jobs=2
+        ).comparisons
         assert [c.workload for c in out["esteem"]] == WORKLOADS
         assert [c.workload for c in out["rpv"]] == WORKLOADS
 
-    def test_jobs_one_runs_inline(self):
+    def test_jobs_one_runs_on_one_worker(self):
         config = SimConfig.scaled(**CFG_KW)
-        out = parallel_compare(config, ["gamess"], ("esteem",), jobs=1)
-        assert len(out["esteem"]) == 1
+        result = resilient_sweep(config, ["gamess"], ("esteem",), jobs=1)
+        assert len(result.comparisons["esteem"]) == 1
+        assert result.workers_spawned == 1
 
     def test_empty_workloads_rejected(self):
         with pytest.raises(ValueError):
-            parallel_compare(SimConfig.scaled(**CFG_KW), [], ("esteem",))
+            resilient_sweep(SimConfig.scaled(**CFG_KW), [], ("esteem",))
 
     def test_empty_techniques_rejected(self):
         with pytest.raises(ValueError):
-            parallel_compare(SimConfig.scaled(**CFG_KW), ["gamess"], ())
+            resilient_sweep(SimConfig.scaled(**CFG_KW), ["gamess"], ())
 
     def test_zero_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
-            parallel_compare(
+            resilient_sweep(
                 SimConfig.scaled(**CFG_KW), ["gamess"], ("esteem",), jobs=0
             )
 
     def test_negative_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
-            parallel_compare(
+            resilient_sweep(
                 SimConfig.scaled(**CFG_KW), ["gamess"], ("esteem",), jobs=-4
             )
 
@@ -63,6 +68,7 @@ class TestTracePreloading:
     def test_worker_task_uses_preloaded_trace(self):
         from repro.experiments import _trace_cache
         from repro.experiments.parallel import _trace_needs_for, _workload_task
+        from repro.obs.campaign import begin_worker_obs, end_worker_obs
         from repro.workloads.profiles import get_profile
 
         config = SimConfig.scaled(**CFG_KW)
@@ -73,7 +79,13 @@ class TestTracePreloading:
         _trace_cache.clear()
         # After the worker installs the shipped trace, the runner's own
         # lookup must return the very same object -- no regeneration.
-        _workload_task((config, "gamess", ("esteem",), 0, {key: trace}))
+        begin_worker_obs()
+        try:
+            _workload_task(
+                (config, "gamess", ("esteem",), 0, {key: trace}, None)
+            )
+        finally:
+            end_worker_obs()
         assert _trace_cache.get_trace(get_profile("gamess"), key[1], key[2]) is trace
 
     def test_dual_core_needs_cover_every_mix_member(self):
@@ -95,43 +107,55 @@ class TestTracePreloading:
         # perturb results (they are the same arrays the worker would
         # have generated).
         config = SimConfig.scaled(**CFG_KW)
-        out = parallel_compare(config, ["gamess"], ("esteem",), jobs=2)
-        sequential = Runner(config).compare(
-            "gamess", "esteem"
+        out = resilient_sweep(config, ["gamess"], ("esteem",), jobs=2)
+        sequential = Runner(config).compare("gamess", "esteem")
+        assert (
+            out.comparisons["esteem"][0].result.total_cycles
+            == sequential.result.total_cycles
         )
-        assert out["esteem"][0].result.total_cycles == sequential.result.total_cycles
+
+
+def assert_names_failing_workload(result):
+    assert result.degraded
+    assert result.completed == ["gamess"]
+    failure = result.failed[0]
+    assert failure.workload == "no-such-benchmark"
+    assert failure.exc_type == "KeyError"
+    # The worker-side traceback travelled back as text.
+    assert "Traceback" in failure.detail
+    assert "no-such-benchmark" in failure.detail
 
 
 class TestWorkerFailures:
     def test_failure_names_the_workload_inline(self):
-        with pytest.raises(ParallelWorkerError) as excinfo:
-            parallel_compare(
+        # The in-process executor runs the unit on a thread of this
+        # process: the failure report must not depend on a pipe to a
+        # child.
+        assert_names_failing_workload(
+            resilient_sweep(
                 SimConfig.scaled(**CFG_KW),
                 ["gamess", "no-such-benchmark"],
                 ("esteem",),
-                jobs=1,
+                executor="inprocess",
             )
-        assert excinfo.value.workload == "no-such-benchmark"
-        assert "no-such-benchmark" in str(excinfo.value)
+        )
 
     def test_failure_names_the_workload_across_processes(self):
-        with pytest.raises(ParallelWorkerError) as excinfo:
-            parallel_compare(
+        assert_names_failing_workload(
+            resilient_sweep(
                 SimConfig.scaled(**CFG_KW),
                 ["gamess", "no-such-benchmark"],
                 ("esteem",),
                 jobs=2,
             )
-        assert excinfo.value.workload == "no-such-benchmark"
-        # The worker-side traceback crossed the process boundary as text.
-        assert excinfo.value.detail
+        )
 
 
 class TestProgress:
     def test_progress_reporter_sees_every_workload(self):
         sink = io.StringIO()
         reporter = ProgressReporter(0, label="test-sweep", stream=sink)
-        parallel_compare(
+        resilient_sweep(
             SimConfig.scaled(**CFG_KW), WORKLOADS, ("esteem",),
             jobs=2, progress=reporter,
         )
@@ -141,7 +165,7 @@ class TestProgress:
         assert f"finished {len(WORKLOADS)}/{len(WORKLOADS)}" in out
 
     def test_progress_off_by_default(self, capsys):
-        parallel_compare(
+        resilient_sweep(
             SimConfig.scaled(**CFG_KW), ["gamess"], ("esteem",), jobs=1
         )
         assert capsys.readouterr().err == ""

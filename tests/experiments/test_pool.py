@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import SimConfig
 from repro.experiments import pool as poolmod
-from repro.experiments.parallel import parallel_compare, resilient_sweep
+from repro.experiments.parallel import resilient_sweep
 from repro.experiments.runner import Runner
 from repro.faults import FaultPlan
 
@@ -43,7 +43,7 @@ class TestWarmReuse:
     def test_spawn_engine_pays_one_process_per_attempt(self):
         result = resilient_sweep(
             config(), ["gamess", "povray", "h264ref"], ("esteem",),
-            jobs=1, use_pool=False,
+            jobs=1, executor="spawn",
         )
         assert result.workers_spawned == 3
         assert result.workers_recycled == 0
@@ -77,7 +77,7 @@ class TestWarmReuse:
         cfg = config()
         pooled = resilient_sweep(cfg, ["gamess"], ("esteem",), jobs=1)
         spawned = resilient_sweep(
-            cfg, ["gamess"], ("esteem",), jobs=1, use_pool=False
+            cfg, ["gamess"], ("esteem",), jobs=1, executor="spawn"
         )
         assert (
             pooled.comparisons["esteem"][0].result
@@ -167,9 +167,15 @@ class TestShmLifecycle:
         assert poolmod.active_shm_segments() == []
         assert segment_files(new_segments(before)) == []
 
-    def test_parallel_compare_unlinks_every_segment(self):
+    def test_figure_sweep_unlinks_every_segment(self):
+        from repro.cli import main
+
         before = set(poolmod.created_shm_segments())
-        parallel_compare(config(), ["gamess", "povray"], ("esteem",), jobs=2)
+        code = main(
+            ["figure", "3", "--workloads", "gamess,povray", "--jobs", "2",
+             "--instructions", "200000", "--no-cache", "-q"]
+        )
+        assert code == 0
         fresh = new_segments(before)
         assert fresh
         assert poolmod.active_shm_segments() == []

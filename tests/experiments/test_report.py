@@ -278,7 +278,7 @@ class TestSupervisionManifest:
         assert manifest["skipped"] == []
         assert manifest["interrupted"] is None
         assert manifest["supervision"]["executor"] in (
-            "pool", "spawn", "inprocess", "remote"
+            "pool", "spawn", "inprocess"
         )
 
     def test_quarantined_items_require_full_shape(self, manifest):

@@ -13,7 +13,6 @@ from repro.experiments.checkpoint import SweepCheckpoint, sweep_fingerprint
 from repro.experiments.parallel import (
     TRANSIENT_EXC_TYPES,
     ParallelWorkerError,
-    parallel_compare,
     resilient_sweep,
 )
 from repro.experiments.pool import active_shm_segments
@@ -59,19 +58,6 @@ class TestWorkerErrorExcType:
 
 
 class TestCleanSweep:
-    def test_matches_parallel_compare_exactly(self):
-        cfg = config()
-        resilient = resilient_sweep(
-            cfg, ["gamess", "povray"], ("esteem",), jobs=2
-        )
-        plain = parallel_compare(cfg, ["gamess", "povray"], ("esteem",), jobs=2)
-        assert not resilient.degraded
-        assert resilient.attempts == 2 and resilient.retries == 0
-        for r, p in zip(resilient.comparisons["esteem"], plain["esteem"]):
-            assert r.workload == p.workload
-            assert r.result == p.result
-            assert r.baseline == p.baseline
-
     def test_input_validation(self):
         with pytest.raises(ValueError):
             resilient_sweep(config(), [], ("esteem",))

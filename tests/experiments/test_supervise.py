@@ -1,7 +1,6 @@
-"""Tests for the executor registry and the supervision primitives
+"""Tests for the executor backends and the supervision primitives
 (heartbeats, quarantine, deadline budgets, signal watch, jitter)."""
 
-import pickle
 import signal
 import threading
 
@@ -11,6 +10,7 @@ from repro.config import SimConfig
 from repro.experiments.parallel import resilient_sweep
 from repro.experiments.pool import SpawnExecutor, WorkerPool, _is_heartbeat
 from repro.experiments.supervise import (
+    EXECUTORS,
     LETHAL_EXC_TYPES,
     CampaignInterrupted,
     DeadlineBudget,
@@ -18,11 +18,8 @@ from repro.experiments.supervise import (
     InProcessExecutor,
     ParentSignalWatch,
     QuarantineTracker,
-    RemoteStubExecutor,
-    available_executors,
     create_executor,
     full_jitter_delay,
-    register_executor,
 )
 
 CFG_KW = dict(instructions_per_core=100_000, interval_cycles=50_000)
@@ -34,9 +31,7 @@ def config():
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"pool", "spawn", "inprocess", "remote"} <= set(
-            available_executors()
-        )
+        assert set(EXECUTORS) == {"pool", "spawn", "inprocess"}
 
     def test_create_resolves_each_builtin(self):
         pool = create_executor("pool", jobs=1)
@@ -54,26 +49,16 @@ class TestRegistry:
             assert isinstance(inproc, InProcessExecutor)
         finally:
             inproc.close()
-        remote = create_executor("remote")
-        try:
-            assert isinstance(remote, RemoteStubExecutor)
-        finally:
-            remote.close()
 
     def test_unknown_name_lists_available(self):
-        with pytest.raises(ValueError, match="unknown executor"):
+        with pytest.raises(
+            ValueError, match="unknown executor.*inprocess, pool, spawn"
+        ):
             create_executor("carrier-pigeon")
-
-    def test_reregistration_requires_replace(self):
-        register_executor("test-dummy", lambda **kw: None, replace=True)
-        with pytest.raises(ValueError, match="already registered"):
-            register_executor("test-dummy", lambda **kw: None)
-        register_executor("test-dummy", lambda **kw: 42, replace=True)
-        assert create_executor("test-dummy") == 42
 
     def test_invalid_name_rejected(self):
         with pytest.raises(ValueError):
-            register_executor("", lambda **kw: None)
+            create_executor("")
 
 
 class TestInProcessExecutor:
@@ -100,24 +85,6 @@ class TestInProcessExecutor:
         assert ex.abort(conn) is None
         assert ex.workers_recycled == 1
         ex.close()
-
-
-class TestRemoteStubExecutor:
-    def test_non_local_host_not_implemented(self):
-        with pytest.raises(NotImplementedError):
-            RemoteStubExecutor(host="bigiron.example.com")
-
-    def test_loopback_accounts_shipped_bytes(self):
-        cfg = config()
-        ex = create_executor("remote", host="loopback")
-        try:
-            task = (cfg, "gamess", ("esteem",), 0, {}, None)
-            conn = ex.start(task, "gamess", 0, None)
-            assert ex.shipped_bytes >= len(pickle.dumps(task))
-            message, _exit = ex.finish(conn)
-            assert message is not None and message[0] == "ok"
-        finally:
-            ex.close()
 
 
 class TestHeartbeatMonitor:

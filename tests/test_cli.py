@@ -484,3 +484,57 @@ class TestCampaignAcceptance:
         )
         assert code == 1
         assert "REGRESSION" in capsys.readouterr().err
+
+
+class TestFigureCommand:
+    """``repro figure 3-6`` runs its campaign on the ``repro sweep`` driver."""
+
+    SUBSET = ["--workloads", "gamess,povray", "--instructions", "300000",
+              "--no-cache", "-q"]
+
+    def test_figure_csv_matches_sweep_byte_for_byte(self, capsys, tmp_path):
+        a, b, c = (tmp_path / f"{name}.csv" for name in "abc")
+        assert main(["figure", "3", "--jobs", "1", "--csv", str(a)]
+                    + self.SUBSET) == 0
+        assert main(["figure", "3", "--jobs", "2", "--csv", str(b)]
+                    + self.SUBSET) == 0
+        assert main(["sweep", "-t", "esteem", "rpv", "--csv", str(c)]
+                    + self.SUBSET) == 0
+        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+    def test_unknown_workload_degrades_with_exit_3(self, capsys):
+        code = main(
+            ["figure", "3", "--workloads", "gamess,no-such",
+             "--instructions", "300000", "--no-cache", "-q"]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "DEGRADED" in captured.err
+        assert "no-such: [KeyError]" in captured.err
+        # The surviving workload is still reported.
+        assert "gamess" in captured.out
+
+    def test_esteem_knobs_reach_the_campaign(self, capsys, monkeypatch):
+        import repro.cli as cli
+        from repro.config import SimConfig
+
+        seen = []
+        real_sweep = cli.resilient_sweep
+
+        def spy(config, *args, **kwargs):
+            seen.append(config)
+            return real_sweep(config, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "resilient_sweep", spy)
+        code = main(
+            ["figure", "5", "--workloads", "gamess",
+             "--instructions", "200000", "--no-cache", "-q",
+             "--alpha", "0.9", "--a-min", "6",
+             # Figure 5 is single-core at 40us whatever these say.
+             "--cores", "2", "--retention", "50"]
+        )
+        assert code == 0
+        expected = SimConfig.scaled(
+            num_cores=1, retention_us=40.0, instructions_per_core=200_000
+        ).with_esteem(alpha=0.9, a_min=6)
+        assert seen == [expected]
