@@ -179,9 +179,11 @@ def _workload_list(args: argparse.Namespace, num_cores: int) -> list[str]:
     return [m.acronym for m in DUAL_CORE_MIXES]
 
 
-def _report_outcome(result) -> int:
+def _report_outcome(result, resume_hint: bool) -> int:
     """Print a sweep's QUARANTINED/SKIPPED/DEGRADED/INTERRUPTED report.
 
+    ``resume_hint`` adds the "rerun with --resume" advice, which only
+    ``repro sweep`` can follow (``repro figure`` has no checkpoint).
     Returns the exit status: 4 for an interrupted sweep, 3 for a degraded
     one, 0 for a complete one.
     """
@@ -198,10 +200,10 @@ def _report_outcome(result) -> int:
                 file=sys.stderr,
             )
     if result.skipped:
+        hint = "; rerun with --resume to finish them" if resume_hint else ""
         print(
             f"SKIPPED: {len(result.skipped)} workload(s) cancelled "
-            f"({result.skipped[0].reason}); rerun with --resume to "
-            f"finish them:",
+            f"({result.skipped[0].reason}){hint}:",
             file=sys.stderr,
         )
         for s in result.skipped:
@@ -222,11 +224,12 @@ def _report_outcome(result) -> int:
         # Interrupted wins over degraded: the operator asked the
         # campaign to stop, and the distinct code tells wrappers the
         # checkpoint is resumable rather than the sweep broken.
-        print(
-            f"INTERRUPTED by {result.interrupted}: checkpoint and "
-            f"manifest flushed; rerun with --resume to finish",
-            file=sys.stderr,
+        hint = (
+            ": checkpoint and manifest flushed; rerun with --resume to finish"
+            if resume_hint
+            else ""
         )
+        print(f"INTERRUPTED by {result.interrupted}{hint}", file=sys.stderr)
         return 4
     return 3 if result.degraded else 0
 
@@ -299,7 +302,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             path = write_comparisons_csv(raw["esteem"] + raw["rpv"], args.csv)
             print(f"CSV written to {path}")
     _finish_profile(profiler)
-    return _report_outcome(result)
+    return _report_outcome(result, resume_hint=False)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -505,7 +508,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         atomic_write_json(args.manifest, manifest)
         print(f"manifest written to {args.manifest}")
-    code = _report_outcome(result)
+    code = _report_outcome(result, resume_hint=True)
     if code:
         return code
     if not args.quiet:

@@ -147,8 +147,9 @@ def _workload_task(
     ``plan`` is a :class:`FaultPlan` (or ``None``) whose hardware faults
     (Plane 1) are injected into every simulated system.
 
-    ``preloaded`` carries the parent's already-generated traces for this
-    workload, either as :class:`Trace` objects (the NumPy columns ride
+    ``preloaded`` carries this workload's traces, which the parent
+    generates and exports just before the unit's first dispatch (a retry
+    reuses them), either as :class:`Trace` objects (the NumPy columns ride
     the pickle path; list/record caches are rebuilt lazily worker-side)
     or as :class:`TraceShmHandle` descriptors naming shared-memory
     segments the worker attaches zero-copy.  Either way the worker seeds
@@ -356,8 +357,9 @@ class _Unit:
 
     index: int
     workload: str
-    task: tuple
     fingerprint: str = ""
+    #: Built at the unit's first dispatch (see ``ship``); retries reuse it.
+    task: tuple | None = None
     shm_keys: tuple = ()
     attempt: int = 0  # attempts already consumed
     last_exc_type: str = ""
@@ -587,92 +589,6 @@ def resilient_sweep(
     quarantined: list[QuarantinedWorkload] = []
     skipped: list[SkippedWorkload] = []
     units: deque[_Unit] = deque()
-    for i, w in enumerate(workload_list):
-        if ckpt is not None and ckpt.has_workload(w, technique_tuple):
-            by_tech = {
-                c.technique: c for c in ckpt.comparisons_for(w)
-            }
-            results[i] = [by_tech[t] for t in technique_tuple]
-            resumed.append(w)
-            note(w, 0, "resumed", "", rel_now(), rel_now(), "none")
-            reporter.advance(w, 0.0)
-            continue
-        unit_fp, hit = cached_unit(
-            cache, config, w, technique_tuple, seed, plan
-        )
-        if not unit_fp:
-            # The quarantine ledger keys on the unit's content
-            # fingerprint even when no result cache is attached.
-            try:
-                unit_fp = unit_fingerprint(
-                    config, w, technique_tuple, seed, plan
-                )
-            except Exception:
-                unit_fp = ""
-        if ckpt is not None and w in ckpt.quarantined_workloads:
-            # A previous run of this campaign already condemned this
-            # unit; a resume must not re-feed the poison to fresh
-            # workers.  note_event is idempotent, so re-deriving the
-            # verdict does not duplicate the checkpoint record.
-            prior = next(
-                (
-                    e.get("detail", "")
-                    for e in ckpt.events
-                    if e.get("event") == "quarantined"
-                    and e.get("workload") == w
-                ),
-                "",
-            )
-            quarantine.quarantine(unit_fp or w)
-            quarantined.append(
-                QuarantinedWorkload(
-                    workload=w,
-                    fingerprint=unit_fp,
-                    attempts=0,
-                    workers=0,
-                    exc_type=prior or "WorkerCrash",
-                    detail="quarantined by a previous run of this "
-                    "campaign (resumed)",
-                )
-            )
-            note(w, 0, "quarantined", prior, rel_now(), rel_now(), "none")
-            reporter.advance(f"{w} (QUARANTINED)", 0.0)
-            continue
-        if hit is not None:
-            results[i] = hit
-            cached.append(w)
-            if ckpt is not None:
-                ckpt.record(hit)
-            note(w, 0, "cached", "", rel_now(), rel_now(), "none")
-            reporter.advance(f"{w} (cached)", 0.0)
-            continue
-        preloaded: dict[Any, Any] = {}
-        shm_keys: list = []
-        try:
-            for key, profile in _trace_needs_for(config, w, seed):
-                trace = _trace_cache.get_trace(profile, key[1], key[2])
-                if store is not None:
-                    preloaded[key] = store.acquire(key, trace)
-                    shm_keys.append(key)
-                else:
-                    preloaded[key] = trace
-        except Exception:
-            # Unresolvable workload: ship nothing; the worker hits the
-            # same error itself and reports it deterministically.
-            if store is not None:
-                for key in shm_keys:
-                    store.release(key)
-            preloaded, shm_keys = {}, []
-        task = (config, w, technique_tuple, seed, preloaded, plan)
-        units.append(
-            _Unit(
-                index=i,
-                workload=w,
-                task=task,
-                fingerprint=unit_fp,
-                shm_keys=tuple(shm_keys),
-            )
-        )
 
     failed: list[FailedWorkload] = []
     total_attempts = 0
@@ -697,6 +613,31 @@ def resilient_sweep(
             instructions=agg.counters.get("sim.instructions", 0.0),
             cache_hit_pct=100.0 * len(cached) / len(workload_list),
         )
+
+    def ship(unit: _Unit) -> None:
+        """Generate the unit's traces and export them for its first
+        dispatch; retries reuse the task and its shared segments."""
+        preloaded: dict[Any, Any] = {}
+        shm_keys: list = []
+        try:
+            for key, profile in _trace_needs_for(config, unit.workload, seed):
+                trace = _trace_cache.get_trace(profile, key[1], key[2])
+                if store is not None:
+                    preloaded[key] = store.acquire(key, trace)
+                    shm_keys.append(key)
+                else:
+                    preloaded[key] = trace
+        except Exception:
+            # Unresolvable workload: ship nothing; the worker hits the
+            # same error itself and reports it deterministically.
+            if store is not None:
+                for key in shm_keys:
+                    store.release(key)
+            preloaded, shm_keys = {}, []
+        unit.task = (
+            config, unit.workload, technique_tuple, seed, preloaded, plan
+        )
+        unit.shm_keys = tuple(shm_keys)
 
     def settle(unit: _Unit) -> None:
         """Release the unit's shared segments once its fate is final."""
@@ -817,9 +758,76 @@ def resilient_sweep(
             settle(unit)
             reporter.advance(f"{unit.workload} (SKIPPED)", 0.0)
 
+    # The watch and the cleanup below cover set-up too: a signal while
+    # units are fingerprinted and probed still drains gracefully.
     watch = ParentSignalWatch()
     try:
         with watch:
+            for i, w in enumerate(workload_list):
+                if ckpt is not None and ckpt.has_workload(w, technique_tuple):
+                    by_tech = {
+                        c.technique: c for c in ckpt.comparisons_for(w)
+                    }
+                    results[i] = [by_tech[t] for t in technique_tuple]
+                    resumed.append(w)
+                    note(w, 0, "resumed", "", rel_now(), rel_now(), "none")
+                    reporter.advance(w, 0.0)
+                    continue
+                unit_fp, hit = cached_unit(
+                    cache, config, w, technique_tuple, seed, plan
+                )
+                if not unit_fp:
+                    # The quarantine ledger keys on the unit's content
+                    # fingerprint even when no result cache is attached.
+                    try:
+                        unit_fp = unit_fingerprint(
+                            config, w, technique_tuple, seed, plan
+                        )
+                    except Exception:
+                        unit_fp = ""
+                if ckpt is not None and w in ckpt.quarantined_workloads:
+                    # A previous run of this campaign already condemned
+                    # this unit; a resume must not re-feed the poison to
+                    # fresh workers.  note_event is idempotent, so
+                    # re-deriving the verdict does not duplicate the
+                    # checkpoint record.
+                    prior = next(
+                        (
+                            e.get("detail", "")
+                            for e in ckpt.events
+                            if e.get("event") == "quarantined"
+                            and e.get("workload") == w
+                        ),
+                        "",
+                    )
+                    quarantine.quarantine(unit_fp or w)
+                    quarantined.append(
+                        QuarantinedWorkload(
+                            workload=w,
+                            fingerprint=unit_fp,
+                            attempts=0,
+                            workers=0,
+                            exc_type=prior or "WorkerCrash",
+                            detail="quarantined by a previous run of this "
+                            "campaign (resumed)",
+                        )
+                    )
+                    note(
+                        w, 0, "quarantined", prior, rel_now(), rel_now(),
+                        "none",
+                    )
+                    reporter.advance(f"{w} (QUARANTINED)", 0.0)
+                    continue
+                if hit is not None:
+                    results[i] = hit
+                    cached.append(w)
+                    if ckpt is not None:
+                        ckpt.record(hit)
+                    note(w, 0, "cached", "", rel_now(), rel_now(), "none")
+                    reporter.advance(f"{w} (cached)", 0.0)
+                    continue
+                units.append(_Unit(index=i, workload=w, fingerprint=unit_fp))
+
             while units or backing_off or running:
                 # Graceful drain: handlers only set a flag, so a signal
                 # can never corrupt a checkpoint write mid-os.replace.
@@ -839,15 +847,25 @@ def resilient_sweep(
                         else:
                             still_waiting.append((ready_at, unit))
                     backing_off[:] = still_waiting
-                while units and len(running) < jobs:
-                    unit = units.popleft()
+                while units and len(running) < jobs and watch.signame is None:
+                    unit = units[0]
+                    if unit.task is None:
+                        # Ship, then re-test the loop condition: a signal
+                        # that arrived while generating stops the start.
+                        ship(unit)
+                        continue
+                    units.popleft()
                     conn = executor_obj.start(
                         unit.task, unit.workload, unit.attempt, plan
                     )
                     unit.attempt += 1
                     total_attempts += 1
+                    # From the start itself: ship() time is not the
+                    # attempt's.
                     deadline = (
-                        now + timeout_s if timeout_s is not None else None
+                        time.monotonic() + timeout_s
+                        if timeout_s is not None
+                        else None
                     )
                     running[conn] = (unit, deadline, rel_now())
                     if hb is not None:

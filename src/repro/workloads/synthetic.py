@@ -32,7 +32,11 @@ Algorithm 1 exists for).  The ``stream`` pattern allocates cold lines
 almost exclusively (libquantum/milc-style, ~100% miss rate).
 
 Randomness is drawn vectorised with NumPy per segment; only the recency
-stack maintenance runs in the per-record Python loop.
+stack maintenance runs in the per-record Python loop.  The instruction
+budget cuts the last segment: the loop stops at the record that meets the
+budget, while that segment's draws stay full length, so the random stream
+-- and hence every trace -- is the same as resolving the whole segment and
+truncating it.
 """
 
 from __future__ import annotations
@@ -164,21 +168,10 @@ class SyntheticTraceGenerator:
             phase_idx += 1
             n = min(phase.segment_records, record_cap - n_records)
             seg = self._generate_segment(
-                phase, n, rng, stacks, cold_cursor, scan_cursor
+                phase, n, max_instructions - instructions, rng, stacks,
+                cold_cursor, scan_cursor,
             )
             seg_addrs, seg_writes, seg_gaps, cold_cursor, scan_cursor = seg
-            # Truncate the segment at the instruction budget.
-            total = instructions + int(seg_gaps.sum()) + len(seg_gaps)
-            if total > max_instructions:
-                cum = np.cumsum(seg_gaps + 1) + instructions
-                # side="left": when some prefix meets the budget exactly,
-                # the record after it must not ride along (the loop would
-                # never have asked for it).
-                keep = int(np.searchsorted(cum, max_instructions, side="left")) + 1
-                keep = max(1, min(keep, len(seg_addrs)))
-                seg_addrs = seg_addrs[:keep]
-                seg_writes = seg_writes[:keep]
-                seg_gaps = seg_gaps[:keep]
             addr_chunks.append(seg_addrs)
             write_chunks.append(seg_writes)
             gap_chunks.append(seg_gaps)
@@ -217,25 +210,33 @@ class SyntheticTraceGenerator:
         them; returns the cold-allocation cursor (== ws_lines, so the first
         "new" touch wraps, modelling steady-state streaming).
         """
-        vbits = _VSET_BITS
         for vset in range(min(ws_lines, VIRTUAL_SETS)):
             per_set = (ws_lines - vset - 1) // VIRTUAL_SETS + 1
-            dq = deque(maxlen=_MAX_STACK_DEPTH)
-            for k in range(per_set):
-                dq.append((k << vbits) | vset)
-            stacks[vset] = dq
+            # Line k of this set is (k << _VSET_BITS) | vset; the deque
+            # keeps only the last _MAX_STACK_DEPTH lines, so build just those.
+            first = max(0, per_set - _MAX_STACK_DEPTH)
+            stacks[vset] = deque(
+                range(
+                    (first << _VSET_BITS) | vset,
+                    (per_set << _VSET_BITS) | vset,
+                    VIRTUAL_SETS,
+                ),
+                maxlen=_MAX_STACK_DEPTH,
+            )
         return ws_lines
 
     def _generate_segment(
         self,
         phase: PhaseSpec,
         n: int,
+        budget: int,
         rng: np.random.Generator,
         stacks: dict[int, deque],
         cold_cursor: int,
         scan_cursor: int,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-        """Produce ``n`` records for one phase segment (NumPy columns)."""
+        """Draw ``n`` records for one phase segment; keep those within
+        ``budget`` instructions (NumPy columns)."""
         profile = self.profile
         # Vectorised randomness.
         writes = rng.random(n) < profile.write_fraction
@@ -247,13 +248,22 @@ class SyntheticTraceGenerator:
         else:
             gaps = np.zeros(n, dtype=np.int64)
 
+        # Cut at the instruction budget: the record that meets it is the
+        # last.  side="left": when some prefix meets the budget exactly,
+        # the record after it must not ride along.  Only the kept records
+        # are resolved to addresses.
+        cum = np.cumsum(gaps + 1)
+        keep = n
+        if cum[-1] > budget:
+            keep = int(np.searchsorted(cum, budget, side="left")) + 1
+
         if phase.pattern == "scan":
-            addrs, scan_cursor = self._scan_addresses(phase, n, rng, scan_cursor)
+            addrs, scan_cursor = self._scan_addresses(phase, keep, scan_cursor)
         else:
             addrs, cold_cursor = self._mixture_addresses(
-                phase, n, rng, stacks, cold_cursor
+                phase, n, keep, rng, stacks, cold_cursor
             )
-        return addrs, writes, gaps, cold_cursor, scan_cursor
+        return addrs, writes[:keep], gaps[:keep], cold_cursor, scan_cursor
 
     @staticmethod
     def _line_addr(vset: int, k: int) -> int:
@@ -263,7 +273,6 @@ class SyntheticTraceGenerator:
         self,
         phase: PhaseSpec,
         n: int,
-        rng: np.random.Generator,
         cursor: int,
     ) -> tuple[np.ndarray, int]:
         """Cyclic sequential walk over the working set (anti-LRU)."""
@@ -278,25 +287,32 @@ class SyntheticTraceGenerator:
         self,
         phase: PhaseSpec,
         n: int,
+        keep: int,
         rng: np.random.Generator,
         stacks: dict[int, deque],
         cold_cursor: int,
     ) -> tuple[np.ndarray, int]:
-        """Near/far/new mixture resolved against the virtual-set stacks."""
+        """Near/far/new mixture resolved against the virtual-set stacks.
+
+        Draws ``n`` records' randomness but resolves only the first
+        ``keep``: the draws stay full length so the random stream (and
+        every kept record) is the same as resolving all ``n``.
+        """
         ws = phase.ws_lines
         p_new = phase.p_new
         p_near = phase.p_near
         if phase.pattern == "stream":
             p_new, p_near = max(p_new, 0.95), min(p_near, 0.05)
 
-        u = rng.random(n)
+        u = rng.random(n)[:keep]
         # kind: 0 = new, 1 = near, 2 = far
         kinds = np.where(u < p_new, 0, np.where(u < p_new + p_near, 1, 2))
         depths = np.minimum(
-            rng.geometric(1.0 / phase.d_mean, size=n) - 1, _MAX_STACK_DEPTH - 1
+            rng.geometric(1.0 / phase.d_mean, size=n)[:keep] - 1,
+            _MAX_STACK_DEPTH - 1,
         ).tolist()
-        far_ids = rng.integers(0, ws, size=n).tolist()
-        vset_picks = rng.integers(0, VIRTUAL_SETS, size=n).tolist()
+        far_ids = rng.integers(0, ws, size=n)[:keep].tolist()
+        vset_picks = rng.integers(0, VIRTUAL_SETS, size=n)[:keep].tolist()
         kinds_list = kinds.tolist()
 
         vbits = _VSET_BITS
@@ -304,7 +320,7 @@ class SyntheticTraceGenerator:
         append = addrs.append
         active_vsets: list[int] = list(stacks.keys())
 
-        for i in range(n):
+        for i in range(keep):
             kind = kinds_list[i]
             if kind == 1 and active_vsets:
                 # Near reuse: geometric recency depth inside a virtual set

@@ -115,6 +115,72 @@ class TestTracePreloading:
         )
 
 
+class TestJustInTimeShipping:
+    """The parent generates and exports a unit's traces right before its
+    first dispatch, not for every unit before the first one starts."""
+
+    @staticmethod
+    def record(monkeypatch, executor_cls):
+        """Log parent-side trace lookups and every executor start."""
+        import threading
+
+        from repro.experiments import _trace_cache
+
+        events = []
+        real_get = _trace_cache.get_trace
+        real_start = executor_cls.start
+
+        def get_trace(profile, budget, seed, profiler=None):
+            # Inprocess attempts look their traces up on worker threads.
+            if threading.current_thread() is threading.main_thread():
+                events.append(("trace", profile.name))
+            return real_get(profile, budget, seed, profiler)
+
+        def start(self, task, workload, attempt, plan):
+            events.append(("start", workload, attempt))
+            return real_start(self, task, workload, attempt, plan)
+
+        monkeypatch.setattr(_trace_cache, "get_trace", get_trace)
+        monkeypatch.setattr(executor_cls, "start", start)
+        return events
+
+    def test_first_start_follows_one_units_traces(self, monkeypatch):
+        from repro.experiments.supervise import InProcessExecutor
+        from repro.workloads.multiprog import get_mix
+
+        events = self.record(monkeypatch, InProcessExecutor)
+        config = SimConfig.scaled(num_cores=2, instructions_per_core=100_000)
+        result = resilient_sweep(
+            config, ["GkNe", "GmDl"], ("esteem",), executor="inprocess"
+        )
+        assert result.completed == ["GkNe", "GmDl"]
+        expected = []
+        for mix in ("GkNe", "GmDl"):
+            expected += [("trace", p.name) for p in get_mix(mix).profiles]
+            expected.append(("start", mix, 0))
+        assert events == expected
+
+    def test_retried_unit_is_not_exported_again(self, monkeypatch):
+        from repro.experiments.supervise import InProcessExecutor
+        from repro.faults import FaultPlan
+
+        events = self.record(monkeypatch, InProcessExecutor)
+        plan = FaultPlan(chaos={"gamess": ("corrupt",)})
+        result = resilient_sweep(
+            SimConfig.scaled(**CFG_KW), ["gamess", "povray"], ("esteem",),
+            executor="inprocess", retries=1, backoff_s=0.0, plan=plan,
+        )
+        assert sorted(result.completed) == ["gamess", "povray"]
+        assert result.retries == 1
+        assert events == [
+            ("trace", "gamess"),
+            ("start", "gamess", 0),
+            ("trace", "povray"),
+            ("start", "povray", 0),
+            ("start", "gamess", 1),
+        ]
+
+
 def assert_names_failing_workload(result):
     assert result.degraded
     assert result.completed == ["gamess"]

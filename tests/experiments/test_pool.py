@@ -181,6 +181,29 @@ class TestShmLifecycle:
         assert poolmod.active_shm_segments() == []
         assert segment_files(fresh) == []
 
+    def test_retry_reuses_the_exported_segment(self, monkeypatch):
+        """A crashed unit's retry ships the handles exported for its
+        first dispatch; the segment is unlinked once the unit settles."""
+        acquired = []
+        real_acquire = poolmod.SharedTraceStore.acquire
+
+        def acquire(self, key, trace):
+            acquired.append(key[0])
+            return real_acquire(self, key, trace)
+
+        monkeypatch.setattr(poolmod.SharedTraceStore, "acquire", acquire)
+        before = set(poolmod.created_shm_segments())
+        plan = FaultPlan(chaos={"gamess": ("crash",)})
+        result = resilient_sweep(
+            config(), ["gamess", "povray"], ("esteem",), jobs=1,
+            retries=1, backoff_s=0.01, plan=plan,
+        )
+        assert sorted(result.completed) == ["gamess", "povray"]
+        assert result.retries == 1
+        assert acquired == ["gamess", "povray"]
+        assert poolmod.active_shm_segments() == []
+        assert segment_files(new_segments(before)) == []
+
 
 class TestSharedTraceStore:
     def test_refcounted_unlink(self):

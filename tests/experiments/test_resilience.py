@@ -3,7 +3,9 @@ checkpoint/resume, degradation) and the sweep checkpoint format."""
 
 import json
 import multiprocessing
+import os
 import pickle
+import signal
 import time
 
 import pytest
@@ -541,6 +543,74 @@ class TestDeadlineBudgets:
             resilient_sweep(
                 config(), ["gamess"], ("esteem",), deadline_s=0.0
             )
+
+
+class TestInterruptDuringSetup:
+    """SIGINT while the sweep is still fingerprinting, probing the result
+    cache or shipping traces drains gracefully: no traceback, every unit
+    ok or skipped-interrupt, and no shared segment left behind."""
+
+    @staticmethod
+    def interrupt_on_call(monkeypatch, module, name, call):
+        """Make ``module.name`` raise SIGINT on its ``call``-th call in
+        this process (forked pool workers inherit the patch; they do not
+        count)."""
+        real = getattr(module, name)
+        parent = os.getpid()
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            if os.getpid() == parent:
+                calls.append(1)
+                if len(calls) == call:
+                    signal.raise_signal(signal.SIGINT)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    @staticmethod
+    def assert_drained(result, workloads):
+        assert result.interrupted == "SIGINT"
+        outcomes = {e["workload"]: e["outcome"] for e in result.timeline}
+        assert set(outcomes) == set(workloads)
+        assert set(outcomes.values()) <= {"ok", "skipped-interrupt"}
+        skipped = {s.workload for s in result.skipped}
+        assert skipped | set(result.completed) == set(workloads)
+        assert all(s.reason == "interrupt" for s in result.skipped)
+        assert active_shm_segments() == []
+
+    @pytest.mark.parametrize(
+        "module_name, name",
+        [
+            ("repro.experiments.parallel", "cached_unit"),
+            ("repro.experiments._trace_cache", "get_trace"),
+        ],
+    )
+    def test_inprocess_sweep_drains(self, monkeypatch, module_name, name):
+        import importlib
+
+        module = importlib.import_module(module_name)
+        self.interrupt_on_call(monkeypatch, module, name, call=1)
+        workloads = ["gamess", "povray", "hmmer"]
+        handler = signal.getsignal(signal.SIGINT)
+        result = resilient_sweep(
+            config(), workloads, ("esteem",), executor="inprocess"
+        )
+        self.assert_drained(result, workloads)
+        assert result.attempts == 0
+        assert signal.getsignal(signal.SIGINT) == handler
+
+    def test_pool_sweep_releases_a_shipped_but_unstarted_unit(
+        self, monkeypatch
+    ):
+        from repro.experiments import _trace_cache
+
+        # The 2nd parent-side lookup ships povray while gamess runs.
+        self.interrupt_on_call(monkeypatch, _trace_cache, "get_trace", call=2)
+        workloads = ["gamess", "povray", "hmmer"]
+        result = resilient_sweep(config(), workloads, ("esteem",), jobs=1)
+        self.assert_drained(result, workloads)
+        assert "povray" in {s.workload for s in result.skipped}
 
 
 class TestHardCrashContainment:

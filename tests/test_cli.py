@@ -514,6 +514,34 @@ class TestFigureCommand:
         # The surviving workload is still reported.
         assert "gamess" in captured.out
 
+    @pytest.mark.parametrize(
+        "command, resumable",
+        [(["figure", "3"], False), (["sweep", "-t", "esteem", "rpv"], True)],
+    )
+    def test_resume_hint_only_where_resume_exists(
+        self, capsys, monkeypatch, command, resumable
+    ):
+        import signal
+
+        import repro.experiments.parallel as parallel
+
+        real_cached_unit = parallel.cached_unit
+        calls = []
+
+        def interrupted(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                signal.raise_signal(signal.SIGINT)
+            return real_cached_unit(*args, **kwargs)
+
+        # SIGINT while the first unit is probed: every unit is skipped.
+        monkeypatch.setattr(parallel, "cached_unit", interrupted)
+        assert main(command + self.SUBSET) == 4
+        err = capsys.readouterr().err
+        assert "SKIPPED: 2 workload(s) cancelled (interrupt)" in err
+        assert "INTERRUPTED by SIGINT" in err
+        assert ("--resume" in err) == resumable
+
     def test_esteem_knobs_reach_the_campaign(self, capsys, monkeypatch):
         import repro.cli as cli
         from repro.config import SimConfig
