@@ -48,6 +48,38 @@ from repro.workloads.profiles import ALL_BENCHMARKS
 __all__ = ["main"]
 
 
+def _int_at_least(minimum: int):
+    """argparse ``type=`` for an integer flag with a lower bound."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse ``type=`` for a strictly positive number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}"
+        ) from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cores", type=int, default=1, choices=(1, 2))
     parser.add_argument("--retention", type=float, default=50.0,
@@ -62,7 +94,7 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sampling-ratio", type=int, default=None,
                         dest="sampling_ratio")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_int_at_least(1), default=1,
                         help="worker processes for workload sweeps")
     parser.add_argument("--cache-dir", default=None, dest="cache_dir",
                         metavar="DIR",
@@ -257,10 +289,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         _finish_profile(profiler)
         return 0
 
-    if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}",
-              file=sys.stderr)
-        return 2
     args.cores = 2 if args.number in (4, 6) else 1
     args.retention = 40.0 if args.number in (5, 6) else 50.0
     config = _build_config(args)
@@ -429,23 +457,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _build_config(args)
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint", file=sys.stderr)
-        return 2
-    if args.jobs is not None and args.jobs < 1:
-        print(
-            f"error: --jobs must be at least 1, got {args.jobs}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.heartbeat is not None and args.heartbeat <= 0:
-        print("error: --heartbeat must be positive", file=sys.stderr)
-        return 2
-    if args.deadline is not None and args.deadline <= 0:
-        print("error: --deadline must be positive", file=sys.stderr)
-        return 2
-    if args.quarantine_after is not None and args.quarantine_after < 1:
-        print(
-            "error: --quarantine-after must be at least 1", file=sys.stderr
-        )
         return 2
     workloads = _workload_list(args, config.num_cores)
     plan = _load_plan(args)
@@ -786,7 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="event dump format (default: jsonl)")
     trc.add_argument("--output", default=None,
                      help="write the trace to a file instead of stdout")
-    trc.add_argument("--capacity", type=int, default=65_536,
+    trc.add_argument("--capacity", type=_int_at_least(1), default=65_536,
                      help="event ring-buffer capacity")
     _add_machine_args(trc)
     # Default to the quick bench scale so the emitted interval-decision
@@ -808,10 +819,10 @@ def build_parser() -> argparse.ArgumentParser:
         "-t", "--technique", nargs="+", default=["esteem", "rpv"],
         choices=[t for t in TECHNIQUES],
     )
-    swp.add_argument("--timeout", type=float, default=None,
+    swp.add_argument("--timeout", type=_positive_float, default=None,
                      help="per-attempt wall-clock timeout in seconds "
                           "(hung workers are terminated and retried)")
-    swp.add_argument("--retries", type=int, default=2,
+    swp.add_argument("--retries", type=_int_at_least(0), default=2,
                      help="retry budget per workload for transient "
                           "failures (default: 2)")
     swp.add_argument("--backoff", type=float, default=0.5,
@@ -829,27 +840,28 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--manifest", default=None, metavar="FILE.json",
                      help="write the structured run manifest as JSON "
                           "(input for `repro report`)")
-    swp.add_argument("--trace-events", type=int, default=0,
+    swp.add_argument("--trace-events", type=_int_at_least(0), default=0,
                      dest="trace_events", metavar="N",
                      help="per-worker event ring capacity; the tail of "
                           "each unit's trace ships home in the manifest "
-                          "(default 0: metrics only, keeps the fast path)")
+                          "(default 0: metrics only)")
     swp.add_argument("--executor", default="pool", choices=sorted(EXECUTORS),
                      help="execution backend (default: pool, the warm "
                           "worker pool)")
-    swp.add_argument("--heartbeat", type=float, default=None,
+    swp.add_argument("--heartbeat", type=_positive_float, default=None,
                      metavar="SECONDS",
                      help="worker heartbeat interval; a worker whose "
                           "beats flatline is condemned as hung after 2 "
                           "missed intervals instead of waiting out the "
                           "full --timeout (default: off)")
-    swp.add_argument("--deadline", type=float, default=None,
+    swp.add_argument("--deadline", type=_positive_float, default=None,
                      metavar="SECONDS",
                      help="whole-campaign wall-clock budget; on expiry, "
                           "unfinished workloads are recorded as "
                           "skipped-deadline, never silently dropped "
                           "(default: off)")
-    swp.add_argument("--quarantine-after", type=int, default=None,
+    swp.add_argument("--quarantine-after", type=_int_at_least(1),
+                     default=None,
                      dest="quarantine_after", metavar="N",
                      help="quarantine a workload whose attempts kill N "
                           "distinct workers (poison-unit detection; "
@@ -931,8 +943,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    """CLI entry point; returns the process exit code (2 for a usage
+    error, which argparse reports on stderr)."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     handlers = {
         "list": _cmd_list,
         "run": _cmd_run,

@@ -84,8 +84,8 @@ class RefreshEngine(ABC):
         #: is maintenance-path, not per-record).  Injected retention
         #: faults latch at the refresh boundary at/after their due cycle:
         #: physically, a decayed cell's corruption is *discovered* when
-        #: the line is next refreshed or scrubbed, and latching keeps all
-        #: three simulation loops (reference / chunked / fast) on the
+        #: the line is next refreshed or scrubbed, and latching keeps the
+        #: reference and fast simulation loops on the
         #: identical maintenance schedule, so faulted runs stay
         #: loop-independent and bit-for-bit reproducible.
         self.injector = None
@@ -143,7 +143,7 @@ class RefreshEngine(ABC):
     def next_boundary(self) -> int:
         """First cycle at which :meth:`advance_to` would do any work.
 
-        The chunked fast loop uses this as one input to its event horizon:
+        The fast loops use this as one input to their event horizon:
         strictly before this cycle, ``advance_to`` is a guaranteed no-op
         and ``current_stall`` cannot change.
         """

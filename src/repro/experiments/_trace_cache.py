@@ -9,10 +9,13 @@ The cache is bounded: entries are kept in least-recently-used order and
 evicted once the summed column payload exceeds the byte cap (default
 1 GiB, overridable via ``REPRO_TRACE_CACHE_BYTES``), so a long sweep
 process cannot grow without bound.  Accounting covers the NumPy columns
-only -- the lazily materialised list views a trace may carry ride along
-with their trace and are dropped by the same eviction.  The most recent
-entry is always retained, even when it alone exceeds the cap: evicting
-the trace that was just inserted would guarantee regeneration thrash.
+only, not the list views (:meth:`Trace.columns
+<repro.workloads.trace.Trace.columns>`, :meth:`Trace.gcpi_list
+<repro.workloads.trace.Trace.gcpi_list>`) a simulated trace carries --
+which is why sweep workers :func:`discard` the traces they were shipped
+once the unit that needed them ends.  The most recent entry is always
+retained, even when it alone exceeds the cap: evicting the trace that was
+just inserted would guarantee regeneration thrash.
 
 Observability: cache hits/misses/evictions and generation time are
 recorded in the process-wide default metrics registry (``trace_cache.*``
@@ -34,8 +37,8 @@ from repro.workloads.trace import Trace
 __all__ = [
     "DEFAULT_MAX_BYTES",
     "clear",
-    "contains",
     "current_bytes",
+    "discard",
     "get_trace",
     "max_bytes",
     "put",
@@ -135,18 +138,20 @@ def put(
     _insert((profile_name, max_instructions, seed), trace)
 
 
-def contains(profile_name: str, max_instructions: int, seed: int) -> bool:
-    """Whether a trace is cached (touches LRU recency, no hit/miss count).
+def discard(profile_name: str, max_instructions: int, seed: int) -> None:
+    """Drop one cached trace, if present (no eviction count).
 
-    Warm pool workers use this to keep an already-installed trace --
-    and its materialised list views -- instead of re-attaching the same
-    shared segment and discarding the warm state.
+    Sweep workers call this when a unit ends, so a shared-memory trace --
+    with its list views and its mapping of the segment -- lives exactly as
+    long as the unit that was shipped it.
     """
-    key = (profile_name, max_instructions, seed)
-    if key in _CACHE:
-        _CACHE.move_to_end(key)
-        return True
-    return False
+    global _CACHE_BYTES
+    trace = _CACHE.pop((profile_name, max_instructions, seed), None)
+    if trace is not None:
+        _CACHE_BYTES -= _trace_nbytes(trace)
+        get_default_registry().gauge("trace_cache.bytes").set(
+            float(_CACHE_BYTES)
+        )
 
 
 def clear() -> None:

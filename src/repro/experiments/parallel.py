@@ -150,13 +150,13 @@ def _workload_task(
     ``preloaded`` carries this workload's traces, which the parent
     generates and exports just before the unit's first dispatch (a retry
     reuses them), either as :class:`Trace` objects (the NumPy columns ride
-    the pickle path; list/record caches are rebuilt lazily worker-side)
-    or as :class:`TraceShmHandle` descriptors naming shared-memory
-    segments the worker attaches zero-copy.  Either way the worker seeds
-    its trace cache instead of regenerating; a handle whose trace is
-    already cached (e.g. inherited across a fork, or installed by an
-    earlier unit on a warm pool worker) is skipped so the warm copy and
-    its materialised list views survive.
+    the pickle path; list views are rebuilt lazily worker-side) or as
+    :class:`TraceShmHandle` descriptors naming shared-memory segments the
+    worker attaches zero-copy.  Either way the worker seeds its trace
+    cache instead of regenerating.  Traces attached from shared memory
+    leave the cache again when the unit ends, success or failure, so a
+    warm pool worker holds only the current unit's traces and list views;
+    no paper campaign reuses a trace across units.
 
     Runs under the attempt's worker observation context (see
     :mod:`repro.obs.campaign`): a fresh per-attempt metrics registry, with
@@ -167,15 +167,15 @@ def _workload_task(
     workload died and (via ``exc_type``) what kind of exception killed it.
     """
     config, workload, techniques, seed, preloaded, fault_plan = args
-    for (name, budget, trace_seed), shipped in preloaded.items():
-        if isinstance(shipped, TraceShmHandle):
-            if _trace_cache.contains(name, budget, trace_seed):
-                continue
-            shipped = Trace.from_shm(shipped)
-        _trace_cache.put(name, budget, trace_seed, shipped)
+    attached = []
     profiler = Profiler()
     obs = current_worker_obs()
     try:
+        for key, shipped in preloaded.items():
+            if isinstance(shipped, TraceShmHandle):
+                shipped = Trace.from_shm(shipped)
+                attached.append(key)
+            _trace_cache.put(*key, shipped)
         with profiler.span(f"worker:{workload}") as span:
             runner = Runner(
                 config,
@@ -197,6 +197,9 @@ def _workload_task(
         raise ParallelWorkerError(
             workload, traceback.format_exc(), type(exc).__name__
         ) from None
+    finally:
+        for key in attached:
+            _trace_cache.discard(*key)
 
 
 # ----------------------------------------------------------------------
@@ -506,6 +509,10 @@ def resilient_sweep(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if retries < 0:
         raise ValueError("retries must be non-negative")
+    if trace_events < 0:
+        raise ValueError(
+            f"trace_events must be non-negative, got {trace_events}"
+        )
     if timeout_s is not None and timeout_s <= 0:
         raise ValueError("timeout must be positive")
     if heartbeat_s is not None and heartbeat_s <= 0:

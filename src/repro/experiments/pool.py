@@ -291,16 +291,17 @@ def _attempt_message(
 def _pool_worker_main(conn) -> None:
     """Warm worker request loop: serve unit attempts until told to stop.
 
-    State deliberately persists across requests -- the process-wide trace
-    cache, memoised warm-L2 images, and imported modules are the warmth
-    the pool exists to amortise.  The loop exits on a ``stop`` request or
-    when the parent end of the pipe disappears.
+    State deliberately persists across requests -- memoised warm-L2 images
+    and imported modules are the warmth the pool exists to amortise.
+    Shipped traces are not: each lives only as long as its unit (see
+    :func:`~repro.experiments.parallel._workload_task`).  The loop exits
+    on a ``stop`` request or when the parent end of the pipe disappears.
     """
     # A warm worker lives for the whole sweep with a large inherited heap
-    # (modules, traces, materialised record views).  Freeze it out of the
-    # cyclic collector: per-unit garbage still dies young, but full
-    # collections stop rescanning -- and COW-unsharing -- objects that
-    # live until exit anyway.
+    # (modules and whatever the parent built before the fork).  Freeze it
+    # out of the cyclic collector: per-unit garbage still dies young, but
+    # full collections stop rescanning -- and COW-unsharing -- objects
+    # that live until exit anyway.
     gc.freeze()
     # SIGTERM (the harness aborting a hung attempt) raises WorkerAborted
     # so the in-flight attempt can flush a final partial telemetry

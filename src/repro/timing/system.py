@@ -205,7 +205,7 @@ class System:
             profiler if profiler is not None and profiler.enabled else None
         )
         #: When True, :meth:`run` uses the straight-line per-record
-        #: reference loop instead of the chunked fast path.  The golden
+        #: reference loop instead of the fast loops.  The golden
         #: equivalence tests run both and assert identical results.
         self.reference_loop = reference_loop
         #: When True (default), the single-core fast loop may classify
@@ -419,21 +419,21 @@ class System:
     def _run(self) -> SystemResult:
         """Build the cores, drive the selected loop, produce the result.
 
-        Three loops implement identical semantics (verified bit-identical
-        by ``tests/timing/test_fast_loop_equivalence.py``):
+        Three loops implement identical semantics, tracer on or off
+        (verified bit-identical, event streams included, by
+        ``tests/timing/test_fast_loop_equivalence.py`` and
+        ``tests/obs/test_integration.py``):
 
         * the straight-line reference loop (:meth:`_run_reference`), kept
-          behind the ``reference_loop`` flag as the executable spec;
-        * a generic chunked loop used when per-record hooks must fire
-          (enabled tracer, or a subclass overriding :meth:`_service`);
-        * fully inlined single-/multi-core fast loops for the common case.
+          behind the ``reference_loop`` flag as the executable spec and
+          used by every subclass that overrides :meth:`_service`;
+        * fully inlined single-/multi-core fast loops for everything else.
 
-        The chunked loops exploit the *event horizon*: between one
-        boundary and the next, neither the interval check nor
-        ``engine.advance_to`` can do any work, so the inner loop services
-        records against hoisted locals and only re-enters the maintenance
-        path when a core's clock crosses
-        ``min(next_interval, engine.next_boundary)``.
+        The fast loops exploit the *event horizon*: between one boundary
+        and the next, neither the interval check nor ``engine.advance_to``
+        can do any work, so the inner loop services records against
+        hoisted locals and only re-enters the maintenance path when a
+        core's clock crosses ``min(next_interval, engine.next_boundary)``.
         """
         cores = [
             CoreState(i, trace, i << _CORE_OFFSET_SHIFT)
@@ -452,10 +452,8 @@ class System:
                 prefill_fraction=self.prefill_fraction,
             )
 
-        if self.reference_loop:
+        if self.reference_loop or type(self)._service is not System._service:
             end_cycle = self._run_reference(cores)
-        elif type(self)._service is not System._service or self.tracer is not None:
-            end_cycle = self._run_chunked(cores)
         elif len(cores) == 1:
             end_cycle = self._run_fast_single(cores[0])
         else:
@@ -502,56 +500,6 @@ class System:
             core.note_wrap_if_any()
             # The batch kernel never runs here; counting every record as
             # scalar keeps the kernel.* metrics comparable across loops.
-            self.kernel_scalar_records += 1
-
-        return max(c.cycles for c in cores)
-
-    def _run_chunked(self, cores: list[CoreState]) -> float:
-        """Event-horizon loop that still routes through :meth:`_service`.
-
-        Used when per-record observability must fire (enabled tracer) or a
-        subclass overrides the service path: the maintenance work (interval
-        close + refresh advance) is hoisted behind a single ``now >=
-        horizon`` test, but every record still goes through the virtual
-        :meth:`_service`, so the emitted event stream and subclass
-        behaviour are exactly those of the reference loop.
-        """
-        engine = self.engine
-        advance_to = engine.advance_to
-        phase_cycles = engine.phase_cycles
-        interval_cycles = self.config.esteem.interval_cycles
-        next_interval = interval_cycles
-        service = self._service
-        single = len(cores) == 1
-        core0 = cores[0]
-        horizon = -1  # forces maintenance before the first record
-
-        while True:
-            if single:
-                core = core0
-                if core.wrapped:
-                    break
-            else:
-                core = min(cores, key=_core_cycles)
-                if all(c.wrapped for c in cores):
-                    break
-            now = int(core.cycles)
-            if now >= horizon:
-                while now >= next_interval:
-                    self._close_interval(next_interval)
-                    next_interval += interval_cycles
-                advance_to(now)
-                horizon = next_interval
-                nb = engine.next_boundary
-                if nb < horizon:
-                    horizon = nb
-            addr, is_write, gap = core.cursor.next_record()
-            latency = service(
-                core, addr | core.addr_offset, is_write, now,
-                now // phase_cycles,
-            )
-            core.retire(gap, latency)
-            core.note_wrap_if_any()
             self.kernel_scalar_records += 1
 
         return max(c.cycles for c in cores)
@@ -616,19 +564,27 @@ class System:
         service_cycles = memory.service_cycles
         mem_latency = memory.latency_cycles
         cursor = core.cursor
-        recs, gi_cum = cursor.trace.retire_records(
-            core.addr_offset, core.base_cpi
-        )
-        n_rec = len(recs)
+        trace = cursor.trace
+        # The per-record view: the trace's shared list columns plus the
+        # precomputed base cycle cost ``(gap + 1) * base_cpi`` per record.
+        addrs_l = _core_addrs(core)
+        writes_l = trace.columns()[1]
+        gcpi_l = trace.gcpi_list(core.base_cpi)
+        n_rec = len(addrs_l)
+        # The instruction counter is reconstructed from this run-local
+        # cumulative sum at chunk boundaries; nothing inside a chunk ever
+        # reads it, so the hot loop skips the per-record increment.
+        gi_cum = np.cumsum(trace.gaps + 1)
         mlp = core.mem_mlp
         i = cursor.index
         wraps = cursor.wraps
         cycles = core.cycles
         instructions = core.instructions
-        # The instruction counter is reconstructed from the cumulative
-        # per-record sums at chunk boundaries; nothing inside a chunk ever
-        # reads it, so the hot loop skips the per-record increment.
-        pass_base = instructions - (gi_cum[i - 1] if i else 0)
+        pass_base = instructions - (int(gi_cum[i - 1]) if i else 0)
+        # ``mshr.stall`` emitter: None untraced, so a queued demand fetch
+        # pays a single ``is not None`` test.
+        emit = self.tracer.emit if self.tracer is not None else None
+        core_id = core.core_id
         next_interval = interval_cycles
         a1 = a - 1
         # In drowsy gating mode lines survive in gated ways, so the
@@ -645,7 +601,6 @@ class System:
         # capture), and the core's address offset must be zero so the raw
         # trace columns are the access stream.  The dynamic half (all ways
         # active, full set mask) is re-checked before every batch build.
-        trace = cursor.trace
         esteem = self.esteem
         injector = self.fault_injector
         use_kernel = (
@@ -662,9 +617,6 @@ class System:
         if use_kernel and profile_hist is not None:
             leader_np = np.array([s.is_leader for s in sets], dtype=bool)
             module_np = np.asarray(module_of_set, dtype=np.int64)
-        if use_kernel:
-            addrs_l, writes_l, _gaps_l = trace.columns()
-            gcpi_l = trace.gcpi_list(core.base_cpi)
         kb = None
         # Skew fallback: when a stretch is too set-skewed for the kernel,
         # stay scalar through it instead of re-attempting a build every
@@ -769,7 +721,7 @@ class System:
                         # one build usually covers the whole stretch.
                         if cpr_est <= 0.0:
                             cpr_est = (
-                                gi_cum[n_rec - 1] / n_rec
+                                trace.instructions / n_rec
                             ) * core.base_cpi + lat_base + 1.0
                         est = int((limit - now) / cpr_est * 1.25) + 64
                         end = i + est if est < n_rec - i else n_rec
@@ -836,6 +788,8 @@ class System:
                         lw_mv[g] = window
                         if mm_next_free > now:
                             wait = mm_next_free - now
+                            if emit is not None:
+                                _emit_stall(emit, now, core_id, mm_qwait, wait)
                             mm_qwait += wait
                             mm_next_free += service_cycles
                             latency = lat_base + (mem_latency + wait) / mlp
@@ -892,12 +846,12 @@ class System:
                     mm_writes, mm_writes0, mm_qwait,
                 )
                 if brk >= 0:
-                    instructions = pass_base + gi_cum[brk]
+                    instructions = pass_base + int(gi_cum[brk])
                     i = brk + 1
                 elif cp == n_rec:
                     # Crossing on the final record wraps, exactly like the
                     # scalar loop's exhausted-pass branch.
-                    instructions = pass_base + gi_cum[n_rec - 1]
+                    instructions = pass_base + trace.instructions
                     pass_base = instructions
                     i = 0
                     wraps += 1
@@ -906,11 +860,10 @@ class System:
                     # records and rebuild at the next chunk top (an extra
                     # chunk boundary is observationally neutral -- no
                     # maintenance can be due before the horizon).
-                    instructions = pass_base + gi_cum[cp - 1]
+                    instructions = pass_base + int(gi_cum[cp - 1])
                     i = cp
                 continue
             for i in range(i, n_rec):
-                addr, is_write, gcpi, _gi = recs[i]
                 if cycles >= next_chk:
                     if cycles >= horizon:
                         brk = i - 1
@@ -918,6 +871,7 @@ class System:
                     window = int(cycles) // phase_cycles
                     window_end = (window + 1) * phase_cycles
                     next_chk = window_end if window_end < horizon else horizon
+                addr = addrs_l[i]
                 cset = sets[addr & asm]
                 way = cset.tag_map.get(addr, -1)
                 if way >= 0:
@@ -941,7 +895,7 @@ class System:
                     hits += 1
                     hbp[pos] += 1
                     g = cset.base + way
-                    if is_write:
+                    if writes_l[i]:
                         dirty_mv[g] = True
                         if write_counts is not None:
                             write_counts[g] += 1
@@ -1021,6 +975,7 @@ class System:
                             mm_writes += 1
                     else:
                         valid_mv[g] = True
+                    is_write = writes_l[i]
                     tags[victim] = addr
                     tag_map[addr] = victim
                     dirty_mv[g] = is_write
@@ -1035,6 +990,8 @@ class System:
                     # The demand fetch (MainMemory.read inlined).
                     if mm_next_free > now:
                         wait = mm_next_free - now
+                        if emit is not None:
+                            _emit_stall(emit, now, core_id, mm_qwait, wait)
                         mm_qwait += wait
                         mm_next_free += service_cycles
                         latency = lat_base + (mem_latency + wait) / mlp
@@ -1042,10 +999,10 @@ class System:
                         mm_next_free = now + service_cycles
                         latency = lat_miss0
                     mm_reads += 1
-                # ``gcpi`` is the precomputed ``(gap+1) * base_cpi``; the
-                # parenthesised sum matches retire()'s evaluation order
+                # ``gcpi_l[i]`` is the precomputed ``(gap+1) * base_cpi``;
+                # the parenthesised sum matches retire()'s evaluation order
                 # bit for bit.
-                cycles = cycles + (gcpi + latency)
+                cycles = cycles + (gcpi_l[i] + latency)
             self.kernel_scalar_records += (
                 (brk + 1 - chunk_i0) if brk >= 0 else (n_rec - chunk_i0)
             )
@@ -1060,12 +1017,12 @@ class System:
                 # final record (the wrap takes priority over a
                 # simultaneous horizon crossing, exactly as in the
                 # reference loop).
-                instructions = pass_base + gi_cum[n_rec - 1]
+                instructions = pass_base + trace.instructions
                 pass_base = instructions
                 i = 0
                 wraps += 1
             else:
-                instructions = pass_base + gi_cum[brk]
+                instructions = pass_base + int(gi_cum[brk])
                 i = brk + 1
 
         if kb is not None:
@@ -1117,24 +1074,34 @@ class System:
         service_cycles = memory.service_cycles
         mem_latency = memory.latency_cycles
         n_cores = len(cores)
-        recs_ = [
-            c.cursor.trace.retire_records(c.addr_offset, c.base_cpi)[0]
-            for c in cores
-        ]
-        n_ = [len(r) for r in recs_]
+        traces = [c.cursor.trace for c in cores]
+        # The same per-record view as the single-core loop, per core.
+        addrs_ = [_core_addrs(c) for c in cores]
+        writes_ = [t.columns()[1] for t in traces]
+        gcpi_ = [t.gcpi_list(c.base_cpi) for t, c in zip(traces, cores)]
+        n_ = [len(t) for t in traces]
         mlp_ = [c.mem_mlp for c in cores]
+        cid_ = [c.core_id for c in cores]
         i_ = [c.cursor.index for c in cores]
         wraps_ = [c.cursor.wraps for c in cores]
         i0_ = list(i_)
         wraps0_ = list(wraps_)
         cycles_ = [c.cycles for c in cores]
-        instr_ = [c.instructions for c in cores]
+        # Instructions are counted per pass, not per record: ``ipass_``
+        # is each core's count at the start of its current pass, so the
+        # count through record ``i`` is ``ipass_ + (gaps[:i] + 1).sum()``.
+        ipass_ = [
+            c.instructions - _pass_instructions(t, c.cursor.index)
+            for c, t in zip(cores, traces)
+        ]
         fpc_ = [c.first_pass_cycles for c in cores]
         fpi_ = [c.first_pass_instructions for c in cores]
         running = sum(1 for w in wraps_ if w == 0)
+        snap = False
         next_interval = interval_cycles
         a1 = a - 1
         drowsy_mode = cfg.esteem.gating_mode == "drowsy"
+        emit = self.tracer.emit if self.tracer is not None else None
 
         while running:
             ci = 0
@@ -1170,15 +1137,17 @@ class System:
             mm_writes = mm_writes0 = memory.writes
             mm_qwait = memory.total_queue_wait
             while True:
-                i = i_[ci]
-                addr, is_write, gcpi, gi = recs_[ci][i]
-                i += 1
+                r = i_[ci]
+                addr = addrs_[ci][r]
+                i = r + 1
                 if i >= n_[ci]:
                     i = 0
+                    ipass_[ci] += traces[ci].instructions
                     wr = wraps_[ci] + 1
                     wraps_[ci] = wr
                     if wr == 1:
                         running -= 1
+                        snap = True
                 i_[ci] = i
                 if best >= window_end:
                     window = int(best) // phase_cycles
@@ -1204,7 +1173,7 @@ class System:
                     hits += 1
                     hbp[pos] += 1
                     g = cset.base + way
-                    if is_write:
+                    if writes_[ci][r]:
                         dirty_mv[g] = True
                         if write_counts is not None:
                             write_counts[g] += 1
@@ -1284,6 +1253,7 @@ class System:
                             mm_writes += 1
                     else:
                         valid_mv[g] = True
+                    is_write = writes_[ci][r]
                     tags[victim] = addr
                     tag_map[addr] = victim
                     dirty_mv[g] = is_write
@@ -1298,6 +1268,8 @@ class System:
                     # The demand fetch (MainMemory.read inlined).
                     if mm_next_free > now:
                         wait = mm_next_free - now
+                        if emit is not None:
+                            _emit_stall(emit, now, cid_[ci], mm_qwait, wait)
                         mm_qwait += wait
                         mm_next_free += service_cycles
                         latency = lat_base + (mem_latency + wait) / mlp_[ci]
@@ -1305,18 +1277,17 @@ class System:
                         mm_next_free = now + service_cycles
                         latency = lat_miss0_[ci]
                     mm_reads += 1
-                # ``gcpi`` is the precomputed ``gi * base_cpi``;
+                # ``gcpi_`` holds the precomputed ``(gap+1) * base_cpi``;
                 # parenthesised to match retire()'s `+=` evaluation order
                 # (whole RHS first) -- keeps results bit-identical.
-                cyc = cycles_[ci] + (gcpi + latency)
+                cyc = cycles_[ci] + (gcpi_[ci][r] + latency)
                 cycles_[ci] = cyc
-                ins = instr_[ci] + gi
-                instr_[ci] = ins
-                if wraps_[ci] == 1 and fpc_[ci] == 0.0:
+                if snap:
                     # First pass just completed at this exact record
                     # boundary: snapshot the measured window (Section 6.4).
                     fpc_[ci] = cyc
-                    fpi_[ci] = ins
+                    fpi_[ci] = ipass_[ci]
+                    snap = False
                 if not running:
                     break
                 ci = 0
@@ -1341,13 +1312,13 @@ class System:
             for w, w0, j, j0, n in zip(wraps_, wraps0_, i_, i0_, n_)
         )
 
-        for core, i, wr, cyc, ins, fc, fi in zip(
-            cores, i_, wraps_, cycles_, instr_, fpc_, fpi_
+        for core, i, wr, cyc, ip, fc, fi in zip(
+            cores, i_, wraps_, cycles_, ipass_, fpc_, fpi_
         ):
             core.cursor.index = i
             core.cursor.wraps = wr
             core.cycles = cyc
-            core.instructions = ins
+            core.instructions = ip + _pass_instructions(core.cursor.trace, i)
             core.first_pass_cycles = fc
             core.first_pass_instructions = fi
         return max(cycles_)
@@ -1538,6 +1509,36 @@ class System:
 
 def _core_cycles(core: CoreState) -> float:
     return core.cycles
+
+
+def _core_addrs(core: CoreState) -> list[int]:
+    """The core's per-record line addresses, address offset applied.
+
+    The trace's shared list column when the offset is zero; otherwise a
+    run-local copy with the offset ORed in, so the hot loops never pay the
+    OR per record.
+    """
+    addrs = core.cursor.trace.columns()[0]
+    offset = core.addr_offset
+    return [addr | offset for addr in addrs] if offset else addrs
+
+
+def _pass_instructions(trace: Trace, i: int) -> int:
+    """Instructions retired by the first ``i`` records of a trace pass."""
+    return int(trace.gaps[:i].sum()) + i
+
+
+def _emit_stall(emit, now: int, core_id: int, qwait: float, wait: float) -> None:
+    """Emit ``mshr.stall`` for a demand fetch that queued ``wait`` cycles.
+
+    ``wait_cycles`` is the growth of the running queue-wait sum ``qwait``,
+    exactly as :meth:`System._service` measures it -- not ``wait`` itself,
+    which can differ from the growth in the last bit once the sum is large
+    (and a growth of zero emits nothing).
+    """
+    queue_wait = (qwait + wait) - qwait
+    if queue_wait > 0:
+        emit(EVENT_MSHR_STALL, now, core=core_id, wait_cycles=queue_wait)
 
 
 def _flush_chunk_counters(

@@ -30,7 +30,6 @@ unlink.
 from __future__ import annotations
 
 import io
-import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,22 +68,23 @@ def _attach_shm(segment: str):
     process's resource tracker, which would unlink it when *this* process
     exits -- destroying it for the creator and every sibling.  The
     ``track=False`` keyword (3.13+) is the sanctioned fix; older versions
-    need the explicit unregister.
+    skip the registration for the duration of the attach.  Undoing it
+    afterwards is not equivalent: a worker shares its creator's tracker,
+    whose one set of names would lose the creator's registration, and the
+    creator's own unlink would then fail inside the tracker.
     """
-    from multiprocessing import shared_memory
+    from multiprocessing import resource_tracker, shared_memory
 
     try:
         return shared_memory.SharedMemory(name=segment, track=False)
     except TypeError:
         pass
-    shm = shared_memory.SharedMemory(name=segment)
+    register = resource_tracker.register
+    resource_tracker.register = lambda name, rtype: None
     try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-    return shm
+        return shared_memory.SharedMemory(name=segment)
+    finally:
+        resource_tracker.register = register
 
 
 class TraceCorruptionError(ValueError):
@@ -139,10 +139,7 @@ class Trace:
             raise ValueError("trace columns must have equal length")
         self._instructions: int | None = None
         self._columns: tuple[list, list, list] | None = None
-        self._records: dict[int, list[tuple]] = {}
-        self._retire_records: dict[tuple, tuple[list[tuple], list[int]]] = {}
         self._set_index_columns: dict[int, np.ndarray] = {}
-        self._tag_columns: dict[int, np.ndarray] = {}
         self._gcpi_lists: dict[float, list[float]] = {}
 
     def __len__(self) -> int:
@@ -188,57 +185,14 @@ class Trace:
             self._columns = cols
         return cols
 
-    def records_list(self, offset: int = 0) -> list[tuple]:
-        """``(addr | offset, is_write, gap)`` tuples, materialised once.
-
-        The fast simulation loops fetch one tuple per record (a single
-        list subscript plus an unpack) instead of indexing three parallel
-        columns, and the per-core address offset is baked in up front so
-        the hot path never pays the OR.  Cached per offset and shared by
-        every run over this trace.
-        """
-        recs = self._records.get(offset)
-        if recs is None:
-            addrs, writes, gaps = self.columns()
-            if offset:
-                addrs = [addr | offset for addr in addrs]
-            recs = list(zip(addrs, writes, gaps))
-            self._records[offset] = recs
-        return recs
-
-    def retire_records(
-        self, offset: int, base_cpi: float
-    ) -> tuple[list[tuple], list[int]]:
-        """Per-record retire view: ``(addr, is_write, gi*cpi, gi)`` + cumsum.
-
-        ``gi = gap + 1`` is the record's instruction count and ``gi * cpi``
-        its precomputed base cycle cost -- bit-identical to computing the
-        product per record, since the operands are the same.  The second
-        element is the running instruction total through each record, which
-        lets the fast loops reconstruct the instruction counter at chunk
-        boundaries instead of incrementing it per record.  Cached per
-        (offset, cpi) and shared by every run over this trace.
-        """
-        key = (offset, base_cpi)
-        cached = self._retire_records.get(key)
-        if cached is None:
-            addrs, writes, gaps = self.columns()
-            if offset:
-                addrs = [addr | offset for addr in addrs]
-            gis = [gap + 1 for gap in gaps]
-            recs = list(zip(addrs, writes, [gi * base_cpi for gi in gis], gis))
-            gi_cum = list(itertools.accumulate(gis))
-            cached = self._retire_records[key] = (recs, gi_cum)
-        return cached
-
     def set_index_column(self, set_mask: int) -> np.ndarray:
         """Per-record cache set index (``addr & set_mask``) as a read-only
         NumPy column, materialised once per mask.
 
         This is the batch classification kernel's grouping key: the kernel
         slices it per event-horizon chunk instead of re-deriving set
-        indices record by record.  Cached alongside the scalar record
-        caches (and invalidated with them on pickling), so shm-attached
+        indices record by record.  Cached alongside the scalar list
+        views (and invalidated with them on pickling), so shm-attached
         traces re-derive it lazily on the attaching side rather than
         shipping it through the segment.
         """
@@ -249,26 +203,13 @@ class Trace:
             self._set_index_columns[set_mask] = col
         return col
 
-    def tag_column(self, set_bits: int) -> np.ndarray:
-        """Per-record tag bits (``addr >> set_bits``), cached per shift.
-
-        Companion to :meth:`set_index_column` for consumers that key on
-        the tag alone (the batch kernel compares full line addresses, so
-        it only needs the set index; characterisation tooling uses this).
-        """
-        col = self._tag_columns.get(set_bits)
-        if col is None:
-            col = self.addrs >> set_bits
-            col.flags.writeable = False
-            self._tag_columns[set_bits] = col
-        return col
-
     def gcpi_list(self, base_cpi: float) -> list[float]:
         """Per-record base cycle cost ``(gap + 1) * base_cpi`` as a list.
 
-        The same values :meth:`retire_records` bakes into its tuples, as a
-        standalone column: the batch kernel's commit loop reads one float
-        per record instead of unpacking the four-tuple.  Cached per CPI.
+        Together with :meth:`columns` this is the fast simulation loops'
+        whole per-record view: they read one float per record instead of
+        multiplying it out.  Cached per CPI and shared by every run over
+        this trace.
         """
         col = self._gcpi_lists.get(base_cpi)
         if col is None:
@@ -288,10 +229,7 @@ class Trace:
         state = dict(self.__dict__)
         state["_instructions"] = None
         state["_columns"] = None
-        state["_records"] = {}
-        state["_retire_records"] = {}
         state["_set_index_columns"] = {}
-        state["_tag_columns"] = {}
         state["_gcpi_lists"] = {}
         state.pop("_shm", None)
         return state
@@ -472,9 +410,8 @@ class TraceCursor:
     first pass.
 
     The cursor reads the trace's cached scalar columns (shared across all
-    cursors over the same trace); :meth:`chunk_view` additionally exposes
-    zero-copy NumPy slices of the remaining first-pass records for
-    vectorised consumers and the chunked fast loop.
+    cursors over the same trace).  The fast simulation loops read those
+    columns directly and write back only ``index`` and ``wraps``.
     """
 
     __slots__ = ("trace", "index", "wraps", "_addrs", "_writes", "_gaps")
@@ -491,10 +428,6 @@ class TraceCursor:
     def first_pass_done(self) -> bool:
         return self.wraps > 0
 
-    def columns(self) -> tuple[list, list, list]:
-        """The trace's shared scalar columns (hot-loop view)."""
-        return self._addrs, self._writes, self._gaps
-
     def next_record(self) -> tuple[int, bool, int]:
         """Return the next ``(addr, is_write, gap)``, wrapping at the end."""
         i = self.index
@@ -505,31 +438,3 @@ class TraceCursor:
             self.wraps += 1
         self.index = i
         return rec
-
-    def chunk_view(
-        self, max_records: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Zero-copy views of up to ``max_records`` upcoming records.
-
-        The views never cross the wrap point: at most ``len(trace) -
-        index`` records are returned, so a caller consuming the full view
-        lands exactly on the record boundary where the wrap (and the
-        first-pass IPC snapshot) must be recorded.  The cursor itself is
-        not advanced; pair with :meth:`advance`.
-        """
-        if max_records < 1:
-            raise ValueError("chunk must cover at least one record")
-        t = self.trace
-        i = self.index
-        j = min(i + max_records, len(t.addrs))
-        return t.addrs[i:j], t.writes[i:j], t.gaps[i:j]
-
-    def advance(self, count: int) -> None:
-        """Consume ``count`` records, with the same wrap accounting as
-        ``count`` calls to :meth:`next_record`."""
-        if count < 0:
-            raise ValueError("cannot advance backwards")
-        n = len(self._addrs)
-        i = self.index + count
-        self.wraps += i // n
-        self.index = i % n

@@ -61,6 +61,19 @@ class TestParallelCompare:
                 SimConfig.scaled(**CFG_KW), ["gamess"], ("esteem",), jobs=-4
             )
 
+    def test_negative_trace_events_rejected_before_any_unit(self, monkeypatch):
+        import repro.experiments.parallel as parallel
+
+        def no_executor(*_args, **_kwargs):
+            raise AssertionError("an executor was built")
+
+        monkeypatch.setattr(parallel, "create_executor", no_executor)
+        with pytest.raises(ValueError, match="trace_events must be non-neg"):
+            resilient_sweep(
+                SimConfig.scaled(**CFG_KW), ["gamess"], ("esteem",),
+                trace_events=-1,
+            )
+
 
 class TestTracePreloading:
     """Parent-generated traces ride to workers instead of being rebuilt."""

@@ -234,3 +234,88 @@ class TestSharedTraceStore:
         assert handle.segment not in poolmod.active_shm_segments()
         assert len(store) == 0
         store.release("k")  # releasing after close is a no-op
+
+
+class TestPerUnitRelease:
+    """A worker frees the traces it attached from shared memory -- cache
+    entry, list views and mapping -- as soon as the unit ends."""
+
+    def _unit(self, workload, techniques, cores=1):
+        from repro.experiments import _trace_cache
+        from repro.experiments.parallel import _trace_needs_for
+
+        cfg = SimConfig.scaled(num_cores=cores, **CFG_KW)
+        store = poolmod.SharedTraceStore()
+        preloaded = {
+            key: store.acquire(key, _trace_cache.get_trace(profile, *key[1:]))
+            for key, profile in _trace_needs_for(cfg, workload, 0)
+        }
+        _trace_cache.clear()
+        return store, (cfg, workload, techniques, 0, preloaded, None)
+
+    def _run(self, task):
+        from repro.experiments.parallel import _workload_task
+        from repro.obs.campaign import begin_worker_obs, end_worker_obs
+
+        begin_worker_obs()
+        try:
+            return _workload_task(task)
+        finally:
+            end_worker_obs()
+
+    @pytest.mark.parametrize("workload,cores", [("gamess", 1), ("GkNe", 2)])
+    def test_finished_unit_leaves_no_cache_entry(
+        self, workload, cores, monkeypatch
+    ):
+        import weakref
+
+        from repro.experiments import _trace_cache
+        from repro.workloads.trace import Trace
+
+        attached = []
+        from_shm = Trace.from_shm
+
+        def recording_from_shm(handle):
+            trace = from_shm(handle)
+            attached.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(Trace, "from_shm", recording_from_shm)
+        store, task = self._unit(workload, ("esteem",), cores)
+        try:
+            comparisons, _wall = self._run(task)
+            assert [c.technique for c in comparisons] == ["esteem"]
+            assert not set(task[4]) & set(_trace_cache._CACHE)
+            assert _trace_cache.current_bytes() == 0
+            # Nothing else holds the attached traces: their list views and
+            # segment mappings are gone with them.
+            assert len(attached) == cores
+            assert all(ref() is None for ref in attached)
+        finally:
+            store.close()
+        assert poolmod.active_shm_segments() == []
+        assert segment_files([h.segment for h in task[4].values()]) == []
+
+    def test_failed_unit_leaves_no_cache_entry(self):
+        from repro.experiments import _trace_cache
+        from repro.experiments.parallel import ParallelWorkerError
+
+        store, task = self._unit("gamess", ("no-such-technique",))
+        try:
+            with pytest.raises(ParallelWorkerError):
+                self._run(task)
+            assert _trace_cache.current_bytes() == 0
+        finally:
+            store.close()
+        assert poolmod.active_shm_segments() == []
+
+    def test_in_process_trace_objects_stay_cached(self):
+        from repro.experiments import _trace_cache
+        from repro.workloads.profiles import get_profile
+
+        store, task = self._unit("gamess", ("esteem",))
+        store.close()
+        key = next(iter(task[4]))
+        trace = _trace_cache.get_trace(get_profile("gamess"), *key[1:])
+        self._run(task[:4] + ({key: trace}, None))
+        assert _trace_cache._CACHE[key] is trace

@@ -1,5 +1,7 @@
 """LRU byte cap on the process-wide trace cache."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,11 @@ def evictions() -> int:
     return get_default_registry().counter("trace_cache.evictions").value
 
 
+def cached(name: str, budget: int = 100, seed: int = 0) -> bool:
+    """Whether the entry is cached (without touching its recency)."""
+    return (name, budget, seed) in tc._CACHE
+
+
 class TestByteCap:
     def test_default_cap_is_one_gibibyte(self):
         assert tc.DEFAULT_MAX_BYTES == 1 << 30
@@ -58,6 +65,19 @@ class TestByteCap:
         tc.put("a", 100, 0, synthetic_trace("a", 2000))
         assert tc.current_bytes() == 17 * 2000
 
+    def test_discard_releases_the_entry_and_its_bytes(self):
+        before = evictions()
+        tc.put("a", 100, 0, synthetic_trace("a", 1000))
+        tc.put("b", 100, 0, synthetic_trace("b", 500))
+        tc.discard("a", 100, 0)
+        assert not cached("a") and cached("b")
+        assert tc.current_bytes() == 17 * 500
+        gauge = get_default_registry().gauge("trace_cache.bytes")
+        assert gauge.value == float(17 * 500)
+        tc.discard("a", 100, 0)  # absent: a no-op
+        assert tc.current_bytes() == 17 * 500
+        assert evictions() == before
+
 
 class TestEviction:
     def test_oldest_entry_evicted_first(self, monkeypatch):
@@ -65,37 +85,39 @@ class TestEviction:
         tc.put("a", 100, 0, synthetic_trace("a", 1000))
         tc.put("b", 100, 0, synthetic_trace("b", 1000))
         tc.put("c", 100, 0, synthetic_trace("c", 1000))  # evicts "a"
-        assert not tc.contains("a", 100, 0)
-        assert tc.contains("b", 100, 0)
-        assert tc.contains("c", 100, 0)
+        assert not cached("a")
+        assert cached("b")
+        assert cached("c")
         assert tc.current_bytes() == 17 * 2000
 
     def test_recency_touch_changes_the_victim(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE_BYTES", str(17 * 2500))
         tc.put("a", 100, 0, synthetic_trace("a", 1000))
         tc.put("b", 100, 0, synthetic_trace("b", 1000))
-        assert tc.contains("a", 100, 0)  # touch: "b" is now the oldest
+        # A get_trace hit touches "a" (only the profile's name is read on
+        # a hit): "b" is now the oldest.
+        tc.get_trace(SimpleNamespace(name="a"), 100, 0)
         tc.put("c", 100, 0, synthetic_trace("c", 1000))
-        assert tc.contains("a", 100, 0)
-        assert not tc.contains("b", 100, 0)
+        assert cached("a")
+        assert not cached("b")
 
     def test_get_trace_hit_refreshes_recency(self, monkeypatch):
         profile = get_profile("gamess")
         monkeypatch.setenv("REPRO_TRACE_CACHE_BYTES", str(17 * 60_000))
         first = tc.get_trace(profile, 50_000, seed=0)  # miss: generates
         tc.get_trace(profile, 50_000, seed=0)  # hit
-        assert tc.contains(profile.name, 50_000, 0)
+        assert cached(profile.name, 50_000)
         assert first is tc.get_trace(profile, 50_000, seed=0)
 
     def test_newest_entry_survives_even_when_oversized(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE_BYTES", "17")
         tc.put("big", 100, 0, synthetic_trace("big", 1000))
-        assert tc.contains("big", 100, 0)
+        assert cached("big")
         assert tc.current_bytes() == 17 * 1000
         # ... but it becomes the victim as soon as a successor arrives.
         tc.put("next", 100, 0, synthetic_trace("next", 1000))
-        assert not tc.contains("big", 100, 0)
-        assert tc.contains("next", 100, 0)
+        assert not cached("big")
+        assert cached("next")
 
     def test_eviction_counter_increments(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE_BYTES", str(17 * 1500))
@@ -114,4 +136,4 @@ class TestEviction:
         tc.put("a", 100, 0, synthetic_trace("a", 1000))
         tc.clear()
         assert tc.current_bytes() == 0
-        assert not tc.contains("a", 100, 0)
+        assert not cached("a")

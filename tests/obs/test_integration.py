@@ -1,5 +1,7 @@
 """Integration: the simulation stack feeding the observability layer."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import SimConfig
@@ -7,6 +9,7 @@ from repro.experiments.runner import Runner
 from repro.obs import (
     EVENT_INTERVAL_DECISION,
     EVENT_INTERVAL_ENERGY,
+    EVENT_MSHR_STALL,
     EVENT_REFRESH_BURST,
     EVENT_SIM_END,
     EVENT_SIM_START,
@@ -15,8 +18,14 @@ from repro.obs import (
     Tracer,
 )
 from repro.timing.system import System
+from repro.workloads.multiprog import get_mix
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import generate_trace
+
+from tests.timing.test_batch_kernel_equivalence import (
+    FAULT_PLAN,
+    _fields_with_faults,
+)
 
 CFG = SimConfig.scaled(instructions_per_core=600_000)
 
@@ -84,8 +93,9 @@ class TestTracing:
 
 
 class TestFastLoopObservability:
-    """The chunked fast loop must feed observability identically to the
-    reference loop -- same events, same order, same payloads."""
+    """A traced run takes the same fast loop as an untraced one, and that
+    loop must feed observability identically to the reference loop --
+    same events, same order, same payloads, same results."""
 
     def _traced(self, reference_loop):
         tracer = Tracer()
@@ -111,9 +121,86 @@ class TestFastLoopObservability:
         assert fast_events == ref_events
 
     def test_metrics_identical_to_reference_loop(self):
+        # The kernel.* counters attribute records to the kernel that
+        # serviced them (the reference loop counts all as scalar), so the
+        # comparison is modulo that split -- as in the batch-kernel suite.
         _, fast_metrics = self._traced(reference_loop=False)
         _, ref_metrics = self._traced(reference_loop=True)
-        assert fast_metrics.snapshot() == ref_metrics.snapshot()
+        fast, ref = fast_metrics.snapshot(), ref_metrics.snapshot()
+        kernel_keys = {"kernel.batch_records", "kernel.scalar_records"}
+        assert {k: v for k, v in fast.items() if k not in kernel_keys} == {
+            k: v for k, v in ref.items() if k not in kernel_keys
+        }
+        assert sum(fast[k]["value"] for k in kernel_keys) == sum(
+            ref[k]["value"] for k in kernel_keys
+        )
+
+    @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
+    @pytest.mark.parametrize("technique", ["baseline", "rpv", "esteem"])
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_traced_matrix_identical_to_reference_loop(
+        self, cores, technique, faults
+    ):
+        fault_plan = FAULT_PLAN if faults else None
+        _, fast, fast_tracer = _traced_matrix_run(
+            cores, technique, fault_plan, reference_loop=False
+        )
+        _, ref, ref_tracer = _traced_matrix_run(
+            cores, technique, fault_plan, reference_loop=True
+        )
+        fast_events = [(e.type, e.cycle, e.data) for e in fast_tracer.events()]
+        ref_events = [(e.type, e.cycle, e.data) for e in ref_tracer.events()]
+        assert fast_tracer.dropped == ref_tracer.dropped == 0
+        assert fast_events == ref_events
+        assert fast_tracer.tally()[EVENT_MSHR_STALL] > 0
+        assert _fields_with_faults(fast) == _fields_with_faults(ref)
+        if faults:
+            assert fast.faults_injected > 0
+
+    def test_traced_single_core_run_uses_the_batch_kernel(self):
+        system, _, tracer = _traced_matrix_run(
+            1, "baseline", None, reference_loop=False
+        )
+        assert system.kernel_batch_records > 0
+        assert tracer.tally()[EVENT_MSHR_STALL] > 0
+
+
+#: Budget for the traced fast-vs-reference matrix (per core).
+MATRIX_INSTRUCTIONS = 300_000
+
+
+def _traced_matrix_run(cores, technique, fault_plan, reference_loop):
+    """One traced run of a streaming workload (libquantum, or the
+    libquantum+povray mix on two cores): ``(system, result, tracer)``.
+
+    The memory channel is narrowed to 1 GB/s so demand misses queue and
+    ``mshr.stall`` fires on every loop path (at the paper's 10 GB/s a
+    scaled single-core run never queues).
+    """
+    config = SimConfig.scaled(
+        num_cores=cores, instructions_per_core=MATRIX_INSTRUCTIONS
+    )
+    config = dataclasses.replace(
+        config,
+        memory=dataclasses.replace(config.memory, bandwidth_bytes_per_sec=1e9),
+    )
+    profiles = (
+        [get_profile("libquantum")] if cores == 1 else get_mix("LqPo").profiles
+    )
+    traces = [
+        generate_trace(p, MATRIX_INSTRUCTIONS, seed=7 + i)
+        for i, p in enumerate(profiles)
+    ]
+    tracer = Tracer()
+    system = System(
+        config,
+        traces,
+        technique,
+        tracer=tracer,
+        reference_loop=reference_loop,
+        fault_plan=fault_plan,
+    )
+    return system, system.run(), tracer
 
 
 class TestMetrics:

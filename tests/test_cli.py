@@ -301,14 +301,43 @@ class TestSweepCommand:
     def test_supervision_flag_validation(self, capsys):
         base = ["sweep", "--workloads", "gamess", "-q"]
         assert main(base + ["--heartbeat", "0"]) == 2
-        assert "--heartbeat must be positive" in capsys.readouterr().err
+        assert "argument --heartbeat: must be positive" in capsys.readouterr().err
         assert main(base + ["--deadline", "-1"]) == 2
-        assert "--deadline must be positive" in capsys.readouterr().err
+        assert "argument --deadline: must be positive" in capsys.readouterr().err
         assert main(base + ["--quarantine-after", "0"]) == 2
         assert (
-            "--quarantine-after must be at least 1"
+            "argument --quarantine-after: must be at least 1"
             in capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize(
+        "argv,flag,reason",
+        [
+            (["sweep", "--workloads", "gamess", "--trace-events", "-1"],
+             "--trace-events", "must be at least 0"),
+            (["sweep", "--workloads", "gamess", "--timeout", "0"],
+             "--timeout", "must be positive"),
+            (["sweep", "--workloads", "gamess", "--timeout", "nan"],
+             "--timeout", "must be positive"),
+            (["sweep", "--workloads", "gamess", "--retries", "-1"],
+             "--retries", "must be at least 0"),
+            (["sweep", "--workloads", "gamess", "--jobs", "0"],
+             "--jobs", "must be at least 1"),
+            (["sweep", "--workloads", "gamess", "--jobs", "two"],
+             "--jobs", "expected an integer"),
+            (["figure", "3", "--workloads", "gamess", "--jobs", "0"],
+             "--jobs", "must be at least 1"),
+            (["trace", "-w", "gamess", "--capacity", "0"],
+             "--capacity", "must be at least 1"),
+        ],
+    )
+    def test_bad_flag_values_are_usage_errors(self, capsys, argv, flag, reason):
+        # Rejected by argparse before any unit starts: exit 2, no
+        # traceback, the flag named on stderr.
+        assert main(argv + ["-q"]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {reason}" in err
+        assert "Traceback" not in err
 
     def test_poison_quarantine_exits_3_and_report_checks(
         self, capsys, tmp_path

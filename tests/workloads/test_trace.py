@@ -66,16 +66,22 @@ class TestSerialisation:
         import pickle
 
         _ = trace.columns()  # populate caches before pickling
-        _ = trace.retire_records(0, trace.base_cpi)
+        _ = trace.gcpi_list(trace.base_cpi)
+        _ = trace.set_index_column(0xF)
         loaded = pickle.loads(pickle.dumps(trace))
+        assert loaded._columns is None
+        assert loaded._gcpi_lists == {} and loaded._set_index_columns == {}
         assert np.array_equal(loaded.addrs, trace.addrs)
         assert np.array_equal(loaded.writes, trace.writes)
         assert np.array_equal(loaded.gaps, trace.gaps)
         assert loaded.instructions == trace.instructions
         assert loaded.columns() == trace.columns()
-        recs, gi_cum = loaded.retire_records(0, loaded.base_cpi)
-        ref_recs, ref_cum = trace.retire_records(0, trace.base_cpi)
-        assert recs == ref_recs and gi_cum == ref_cum
+        assert loaded.gcpi_list(loaded.base_cpi) == trace.gcpi_list(
+            trace.base_cpi
+        )
+        assert np.array_equal(
+            loaded.set_index_column(0xF), trace.set_index_column(0xF)
+        )
 
     def test_load_defaults_missing_optional_fields(self, trace, tmp_path):
         # Archives written before base_cpi / mem_mlp / footprint_lines

@@ -44,15 +44,43 @@ class TestRoundTrip:
             shm.unlink()
 
     def test_scalar_hot_loop_views_match(self):
-        # columns()/records_list() are the simulation's actual view; they
+        # columns()/gcpi_list() are the simulation's actual view; they
         # must materialise identically from a shm-backed trace.
         trace = make_trace()
         shm, handle = trace.to_shm()
         try:
             clone = Trace.from_shm(handle)
             assert clone.columns() == trace.columns()
-            assert clone.records_list(0)[:100] == trace.records_list(0)[:100]
+            assert clone.gcpi_list(trace.base_cpi) == trace.gcpi_list(
+                trace.base_cpi
+            )
         finally:
+            shm.close()
+            shm.unlink()
+
+
+class TestAttachTracking:
+    def test_attach_leaves_the_resource_tracker_alone(self, monkeypatch):
+        # Attachers share their creator's resource tracker: registering
+        # (or unregistering) there would hand the segment's lifetime to
+        # the attacher or strip the creator's registration.
+        from multiprocessing import resource_tracker
+
+        trace = make_trace()
+        shm, handle = trace.to_shm()
+        calls = []
+        monkeypatch.setattr(
+            resource_tracker, "register", lambda *a: calls.append(a)
+        )
+        monkeypatch.setattr(
+            resource_tracker, "unregister", lambda *a: calls.append(a)
+        )
+        try:
+            clone = Trace.from_shm(handle)
+            assert np.array_equal(clone.addrs, trace.addrs)
+            assert calls == []
+        finally:
+            monkeypatch.undo()
             shm.close()
             shm.unlink()
 
@@ -113,21 +141,18 @@ class TestZeroCopy:
 
 
 class TestDerivedColumnCaches:
-    """The batch kernel's precomputed columns (set index / tag / gcpi)
-    are per-process caches: they must re-derive lazily after transport
+    """The fast loops' precomputed columns (set index / gcpi) are
+    per-process caches: they must re-derive lazily after transport
     instead of shipping through pickles or shared-memory segments."""
 
     def test_pickle_drops_and_rederives_columns(self):
         trace = make_trace()
         si = trace.set_index_column(0xFFF)
-        tg = trace.tag_column(12)
         gc = trace.gcpi_list(1.25)
         revived = pickle.loads(pickle.dumps(trace))
         assert revived._set_index_columns == {}
-        assert revived._tag_columns == {}
         assert revived._gcpi_lists == {}
         assert np.array_equal(revived.set_index_column(0xFFF), si)
-        assert np.array_equal(revived.tag_column(12), tg)
         assert revived.gcpi_list(1.25) == gc
 
     def test_shm_round_trip_rederives_columns_lazily(self):
@@ -158,7 +183,7 @@ class TestDerivedColumnCaches:
         with pytest.raises(ValueError):
             trace.set_index_column(0xFFF)[0] = 1
         with pytest.raises(ValueError):
-            trace.tag_column(12)[0] = 1
+            trace.set_index_column(0xFF)[0] = 1
 
 
 def _attach_and_report(handle: TraceShmHandle, queue) -> None:
