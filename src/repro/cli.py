@@ -614,9 +614,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Run the end-to-end throughput bench and gate locally.
 
-    Same measurement and gates as ``benchmarks/check_throughput.py`` (and
-    the CI bench-smoke job): per-technique batch/scalar/reference timings
-    with the batch-kernel >= 1.3x floor.  Exit status 0 on pass, 1 on
+    The one entry point to the throughput gate (the CI bench-smoke job
+    runs it too): per-technique batch/scalar/reference timings with the
+    batch-kernel >= 1.3x floor.  Exit status 0 on pass, 1 on
     regression, 0 with a note when no baseline is recorded.
     """
     import json

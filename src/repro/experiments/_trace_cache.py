@@ -26,6 +26,7 @@ one span per actual generation (cache misses only).
 from __future__ import annotations
 
 import os
+import threading
 from collections import OrderedDict
 
 from repro.obs.metrics import get_default_registry
@@ -50,6 +51,9 @@ DEFAULT_MAX_BYTES = 1 << 30
 
 _CACHE: "OrderedDict[tuple[str, int, int], Trace]" = OrderedDict()
 _CACHE_BYTES = 0
+#: Guards ``_CACHE``/``_CACHE_BYTES``: an in-process sweep attempt that
+#: timed out keeps running on its detached thread next to its retry.
+_LOCK = threading.Lock()
 
 
 def max_bytes() -> int:
@@ -76,18 +80,19 @@ def _trace_nbytes(trace: Trace) -> int:
 
 def _insert(key: tuple[str, int, int], trace: Trace) -> None:
     global _CACHE_BYTES
-    old = _CACHE.pop(key, None)
-    if old is not None:
-        _CACHE_BYTES -= _trace_nbytes(old)
-    _CACHE[key] = trace
-    _CACHE_BYTES += _trace_nbytes(trace)
     cap = max_bytes()
     registry = get_default_registry()
-    while _CACHE_BYTES > cap and len(_CACHE) > 1:
-        _evicted_key, evicted = _CACHE.popitem(last=False)
-        _CACHE_BYTES -= _trace_nbytes(evicted)
-        registry.counter("trace_cache.evictions").inc()
-    registry.gauge("trace_cache.bytes").set(float(_CACHE_BYTES))
+    with _LOCK:
+        old = _CACHE.pop(key, None)
+        if old is not None:
+            _CACHE_BYTES -= _trace_nbytes(old)
+        _CACHE[key] = trace
+        _CACHE_BYTES += _trace_nbytes(trace)
+        while _CACHE_BYTES > cap and len(_CACHE) > 1:
+            _evicted_key, evicted = _CACHE.popitem(last=False)
+            _CACHE_BYTES -= _trace_nbytes(evicted)
+            registry.counter("trace_cache.evictions").inc()
+        registry.gauge("trace_cache.bytes").set(float(_CACHE_BYTES))
 
 
 def get_trace(
@@ -98,7 +103,10 @@ def get_trace(
 ) -> Trace:
     """Memoised :func:`repro.workloads.synthetic.generate_trace`."""
     key = (profile.name, max_instructions, seed)
-    trace = _CACHE.get(key)
+    with _LOCK:
+        trace = _CACHE.get(key)
+        if trace is not None:
+            _CACHE.move_to_end(key)
     registry = get_default_registry()
     if trace is None:
         registry.counter("trace_cache.misses").inc()
@@ -116,7 +124,6 @@ def get_trace(
             trace = generate_trace(profile, max_instructions, seed=seed)
         _insert(key, trace)
     else:
-        _CACHE.move_to_end(key)
         registry.counter("trace_cache.hits").inc()
     return trace
 
@@ -130,24 +137,32 @@ def put(
 ) -> None:
     """Seed the cache with an externally built trace.
 
-    Sweep workers receive the parent's already-generated traces (as
-    shared-memory handles or pickled arrays) and install them here, so a
-    worker never regenerates a trace the parent (or an earlier sweep) has
-    built.  Counts as neither a hit nor a miss.
+    Sweep attempts attach the parent's already-generated traces from
+    shared memory and install them here, so a worker never regenerates a
+    trace the parent (or an earlier sweep) has built.  Counts as neither
+    a hit nor a miss.
     """
     _insert((profile_name, max_instructions, seed), trace)
 
 
-def discard(profile_name: str, max_instructions: int, seed: int) -> None:
-    """Drop one cached trace, if present (no eviction count).
+def discard(
+    profile_name: str, max_instructions: int, seed: int, trace: Trace
+) -> None:
+    """Drop ``trace`` if it is still the cached entry for its key.
 
-    Sweep workers call this when a unit ends, so a shared-memory trace --
+    Sweep attempts call this when a unit ends, so a shared-memory trace --
     with its list views and its mapping of the segment -- lives exactly as
-    long as the unit that was shipped it.
+    long as the unit that was shipped it.  The identity check matters on
+    the in-process executor: a timed-out attempt's thread runs on after
+    its retry installed its own attachment under the same key, and must
+    not evict it.  No eviction count.
     """
     global _CACHE_BYTES
-    trace = _CACHE.pop((profile_name, max_instructions, seed), None)
-    if trace is not None:
+    key = (profile_name, max_instructions, seed)
+    with _LOCK:
+        if _CACHE.get(key) is not trace:
+            return
+        del _CACHE[key]
         _CACHE_BYTES -= _trace_nbytes(trace)
         get_default_registry().gauge("trace_cache.bytes").set(
             float(_CACHE_BYTES)
@@ -157,5 +172,6 @@ def discard(profile_name: str, max_instructions: int, seed: int) -> None:
 def clear() -> None:
     """Drop all cached traces (tests use this to bound memory)."""
     global _CACHE_BYTES
-    _CACHE.clear()
-    _CACHE_BYTES = 0
+    with _LOCK:
+        _CACHE.clear()
+        _CACHE_BYTES = 0

@@ -11,9 +11,10 @@ work.  Properties the resilient harness relies on:
   complete checkpoint or the new complete checkpoint -- never a torn
   file.
 * **Fingerprinted**: the header line carries a SHA-256 fingerprint of
-  the sweep parameters (flattened config, techniques, seed, fault
-  plan).  Resuming against a checkpoint written by a *different* sweep
-  is refused rather than silently mixing incompatible results.
+  the sweep parameters (engine version, flattened config, techniques,
+  seed, fault plan).  Resuming against a checkpoint written by a
+  *different* sweep is refused rather than silently mixing incompatible
+  results.
 * **Exact**: units round-trip through
   :func:`~repro.experiments.runner.comparison_to_dict`, whose JSON
   float encoding is shortest-round-trip, so a resumed sweep's results
@@ -44,6 +45,7 @@ from repro.experiments.runner import (
     comparison_to_dict,
 )
 from repro.faults.plan import FaultPlan
+from repro.timing.system import SIM_ENGINE_VERSION
 from repro.util import atomic_write, stable_fingerprint
 
 __all__ = ["SweepCheckpoint", "sweep_fingerprint"]
@@ -63,8 +65,11 @@ def sweep_fingerprint(
     fingerprint; that is deliberate -- a chaos plan changes *which*
     attempts fail, never the results of units that complete, but keeping
     it in the fingerprint errs on the side of refusing a stale resume.
+    The simulator engine version is in it too: resuming after an
+    engine-semantics bump is refused instead of mixing two engines' units.
     """
     payload = {
+        "engine": SIM_ENGINE_VERSION,
         "config": {k: v for k, v in sorted(config_fields(config).items())},
         "techniques": list(techniques),
         "seed": seed,

@@ -11,14 +11,16 @@ technique) -- the baseline run and the generated traces are shared between
 techniques within a worker, which is the same sharing the sequential
 :class:`~repro.experiments.runner.Runner` exploits.
 
-Execution engines (:mod:`repro.experiments.pool`): by default
+Execution engine (:mod:`repro.experiments.pool`): by default
 :func:`resilient_sweep` dispatches units to a persistent pool of *warm*
-workers that amortise interpreter start, module imports, trace state and
-memoised warm-L2 images across units, receive traces zero-copy as
-shared-memory handles, and are recycled only on crash or hang
-(``executor="spawn"`` selects the one-spawn-per-attempt engine).  Every
-engine runs the same timeout/retry/checkpoint/degradation state machine
-in this module, so resilience semantics are engine-independent.
+workers that amortise interpreter start, module imports and memoised
+warm-L2 images across units, and are recycled only on crash or hang
+(``executor="spawn"`` runs the same worker under a one-attempt lifetime;
+``executor="inprocess"`` runs attempts on a parent thread).  Every
+executor receives a unit's traces zero-copy, as handles to shared-memory
+segments the parent exports once per unit, and every executor runs the
+same timeout/retry/checkpoint/degradation state machine in this module,
+so resilience semantics are executor-independent.
 
 Results can additionally be served from a content-addressed
 :class:`~repro.experiments.result_cache.ResultCache`: units whose full
@@ -69,7 +71,7 @@ from repro.obs.campaign import (
     telemetry_from_message,
 )
 from repro.obs.profile import Profiler, ProgressReporter
-from repro.workloads.trace import Trace, TraceShmHandle
+from repro.workloads.trace import Trace
 
 __all__ = [
     "FailedWorkload",
@@ -147,16 +149,18 @@ def _workload_task(
     ``plan`` is a :class:`FaultPlan` (or ``None``) whose hardware faults
     (Plane 1) are injected into every simulated system.
 
-    ``preloaded`` carries this workload's traces, which the parent
-    generates and exports just before the unit's first dispatch (a retry
-    reuses them), either as :class:`Trace` objects (the NumPy columns ride
-    the pickle path; list views are rebuilt lazily worker-side) or as
-    :class:`TraceShmHandle` descriptors naming shared-memory segments the
-    worker attaches zero-copy.  Either way the worker seeds its trace
-    cache instead of regenerating.  Traces attached from shared memory
-    leave the cache again when the unit ends, success or failure, so a
-    warm pool worker holds only the current unit's traces and list views;
-    no paper campaign reuses a trace across units.
+    ``preloaded`` maps this workload's trace-cache keys to
+    :class:`~repro.workloads.trace.TraceShmHandle` descriptors naming the
+    shared-memory segments the parent exported just before the unit's
+    first dispatch (a retry reuses them).  The attempt attaches each one
+    zero-copy and seeds its trace cache instead of regenerating; the
+    traces it installed leave the cache again when the unit ends, success
+    or failure, unless a later attempt has replaced them since (an
+    in-process attempt that timed out runs on beside its retry).  So a
+    warm pool worker holds only the current unit's traces and list views
+    (no paper campaign reuses a trace across units).  An in-process
+    attempt shares the parent's cache, so the parent regenerates such a
+    trace if a later unit asks for it.
 
     Runs under the attempt's worker observation context (see
     :mod:`repro.obs.campaign`): a fresh per-attempt metrics registry, with
@@ -167,15 +171,14 @@ def _workload_task(
     workload died and (via ``exc_type``) what kind of exception killed it.
     """
     config, workload, techniques, seed, preloaded, fault_plan = args
-    attached = []
+    installed = []
     profiler = Profiler()
     obs = current_worker_obs()
     try:
-        for key, shipped in preloaded.items():
-            if isinstance(shipped, TraceShmHandle):
-                shipped = Trace.from_shm(shipped)
-                attached.append(key)
-            _trace_cache.put(*key, shipped)
+        for key, handle in preloaded.items():
+            trace = Trace.from_shm(handle)
+            _trace_cache.put(*key, trace)
+            installed.append((key, trace))
         with profiler.span(f"worker:{workload}") as span:
             runner = Runner(
                 config,
@@ -198,8 +201,8 @@ def _workload_task(
             workload, traceback.format_exc(), type(exc).__name__
         ) from None
     finally:
-        for key in attached:
-            _trace_cache.discard(*key)
+        for key, trace in installed:
+            _trace_cache.discard(*key, trace)
 
 
 # ----------------------------------------------------------------------
@@ -268,8 +271,9 @@ class SweepResult:
     unit is independent), the sweep is just incomplete.  ``cached``
     lists units served whole from the result cache, and the
     ``workers_*`` counters describe the execution engine's process
-    economy (a spawn-per-unit run spawns once per attempt; a pooled run
-    spawns at most ``jobs`` plus one per crash/hang recycle).
+    economy (``spawn`` forks once per attempt, ``inprocess`` counts one
+    thread per attempt; a pooled run spawns at most ``jobs`` plus one per
+    crash/hang recycle).
 
     Campaign telemetry: ``timeline`` holds one record per attempt (and
     per cached/resumed unit) with wall-clock offsets relative to the
@@ -430,18 +434,19 @@ def resilient_sweep(
     worker process connected by a pipe, so the parent can enforce a
     per-attempt wall-clock ``timeout_s`` by terminating a hung worker --
     something a ``ProcessPoolExecutor`` cannot do to a running task.
-    With ``executor="pool"`` (the default) attempts are dispatched to the
-    persistent warm-worker engine and traces travel as zero-copy
-    shared-memory handles; a terminated or crashed worker is recycled,
-    every other worker stays warm.  ``executor="spawn"`` spawns one
-    process per attempt (the throughput benchmark's baseline), and
-    ``executor="inprocess"`` runs attempts on a thread in the parent
-    (for debugging).  Failed attempts are classified by exception type:
-    transient ones (:data:`TRANSIENT_EXC_TYPES`: crashes, timeouts,
-    corrupt results, broken pipes) are retried up to ``retries`` times
-    with exponential backoff (``backoff_s * 2**(attempt-1)``);
-    deterministic ones fail fast, because a unit that raised
-    ``ValueError`` once will raise it on every retry.
+    With ``executor="pool"`` (the default) attempts are dispatched to
+    persistent warm workers; a terminated or crashed worker is recycled,
+    every other worker stays warm.  ``executor="spawn"`` runs the same
+    worker but forks one per attempt (the throughput benchmark's
+    baseline), and ``executor="inprocess"`` runs attempts on a thread in
+    the parent (for debugging).  On every executor a unit's traces travel
+    as zero-copy shared-memory handles, exported at its first dispatch.
+    Failed attempts are classified by exception type: transient ones
+    (:data:`TRANSIENT_EXC_TYPES`: crashes, timeouts, corrupt results,
+    broken pipes) are retried up to ``retries`` times with exponential
+    backoff (``backoff_s * 2**(attempt-1)``); deterministic ones fail
+    fast, because a unit that raised ``ValueError`` once will raise it on
+    every retry.
 
     Determinism: a retried unit reproduces the original attempt bit for
     bit -- traces are functions of ``(profile, budget, seed)``, and the
@@ -525,7 +530,7 @@ def resilient_sweep(
         obs_spec["trace_capacity"] = trace_events
     if heartbeat_s is not None:
         obs_spec["heartbeat_s"] = heartbeat_s
-    executor_obj = create_executor(executor, jobs=jobs, obs_spec=obs_spec)
+    executor_obj = create_executor(executor, obs_spec=obs_spec)
     jobs = max(1, min(jobs, getattr(executor_obj, "max_concurrency", jobs)))
 
     hb = HeartbeatMonitor(heartbeat_s) if heartbeat_s is not None else None
@@ -587,9 +592,7 @@ def resilient_sweep(
             entry["in_flight"] = True
         timeline.append(entry)
 
-    # Zero-copy shared-memory trace shipping only pays off for the warm
-    # pool; spawn/inprocess ship traces through the task pickle.
-    store = SharedTraceStore() if executor == "pool" else None
+    store = SharedTraceStore()
     results: list[list[RunComparison] | None] = [None] * len(workload_list)
     resumed: list[str] = []
     cached: list[str] = []
@@ -625,32 +628,25 @@ def resilient_sweep(
         """Generate the unit's traces and export them for its first
         dispatch; retries reuse the task and its shared segments."""
         preloaded: dict[Any, Any] = {}
-        shm_keys: list = []
         try:
             for key, profile in _trace_needs_for(config, unit.workload, seed):
                 trace = _trace_cache.get_trace(profile, key[1], key[2])
-                if store is not None:
-                    preloaded[key] = store.acquire(key, trace)
-                    shm_keys.append(key)
-                else:
-                    preloaded[key] = trace
+                preloaded[key] = store.acquire(key, trace)
         except Exception:
             # Unresolvable workload: ship nothing; the worker hits the
             # same error itself and reports it deterministically.
-            if store is not None:
-                for key in shm_keys:
-                    store.release(key)
-            preloaded, shm_keys = {}, []
+            for key in preloaded:
+                store.release(key)
+            preloaded = {}
         unit.task = (
             config, unit.workload, technique_tuple, seed, preloaded, plan
         )
-        unit.shm_keys = tuple(shm_keys)
+        unit.shm_keys = tuple(preloaded)
 
     def settle(unit: _Unit) -> None:
         """Release the unit's shared segments once its fate is final."""
-        if store is not None:
-            for key in unit.shm_keys:
-                store.release(key)
+        for key in unit.shm_keys:
+            store.release(key)
 
     def dispose(unit: _Unit, exc_type: str, detail: str, worker: int) -> str:
         """Retry, quarantine, or abandon a failed attempt.
@@ -1018,8 +1014,7 @@ def resilient_sweep(
                 executor_obj.abort(conn)
             executor_obj.close()
         finally:
-            if store is not None:
-                store.close()
+            store.close()
     reporter.finish()
 
     out: dict[str, list[RunComparison]] = {t: [] for t in technique_tuple}

@@ -1,4 +1,4 @@
-"""Sweep execution engines: warm worker pool, spawn-per-unit, shm store.
+"""Sweep execution engine: warm worker processes plus the shm trace store.
 
 The figure/table sweeps run many independent ``(workload, techniques)``
 units.  PR 3's resilient harness paid a full process spawn per *attempt*:
@@ -6,31 +6,32 @@ interpreter fork, module import state, cold trace cache, cold warm-L2
 image cache -- orchestration overhead that dominates short units.  This
 module keeps those costs amortised:
 
-* :class:`WorkerPool` -- a persistent pool of warm workers.  Each worker
-  is a long-lived child process running :func:`_pool_worker_main`, a
-  request/response loop over a duplex pipe.  Across units a worker keeps
-  its imported modules, its process-wide trace cache, and the memoised
-  warm-L2 images, so only the first unit a worker sees pays setup.  A
-  worker is *recycled* (discarded and lazily replaced) only when it
-  crashes (pipe EOF) or hangs (the harness aborts it on deadline); a unit
-  that merely raises keeps its worker warm.
-* :class:`SpawnExecutor` -- the PR 3 per-unit-spawn path behind the same
-  executor interface, kept as the benchmark reference and fallback.
+* :class:`WorkerPool` -- the one process engine.  Each worker is a
+  child process running :func:`_pool_worker_main`, a request/response
+  loop over a duplex pipe.  Across units a worker keeps its imported
+  modules and the memoised warm-L2 images, so only the first unit a
+  worker sees pays setup.  A worker is *recycled* (discarded and lazily
+  replaced) only when it crashes (pipe EOF) or hangs (the harness aborts
+  it on deadline); a unit that merely raises keeps its worker warm.
+* :class:`SpawnExecutor` -- the same engine under a one-attempt lifetime:
+  every attempt forks a fresh worker, which is retired when the attempt
+  finishes.  It is the cold-start reference the throughput benchmark
+  compares the warm pool against.
 * :class:`SharedTraceStore` -- parent-side refcounted export of traces
-  into named ``multiprocessing.shared_memory`` segments, so workers
-  attach multi-million-record columns zero-copy instead of receiving a
-  pickled copy per worker.  Segments are unlinked when their refcount
-  drops to zero and unconditionally in :meth:`SharedTraceStore.close`,
-  which the sweep calls in a ``finally`` -- a crashed or recycled worker
-  can never leak ``/dev/shm`` entries, because workers never own
-  segments.
+  into named ``multiprocessing.shared_memory`` segments, so every
+  executor's attempts attach multi-million-record columns zero-copy
+  instead of receiving a pickled copy.  Segments are unlinked when their
+  refcount drops to zero and unconditionally in
+  :meth:`SharedTraceStore.close`, which the sweep calls in a ``finally``
+  -- a crashed or recycled worker can never leak ``/dev/shm`` entries,
+  because workers never own segments.
 
-Both executors speak the same protocol to the resilient harness:
-``start()`` returns a pollable connection, ``finish()`` collects the
-attempt's message (``None`` means the worker died without reporting; the
-harness may also pass a message it already received off the pipe),
-``abort()`` terminates a hung attempt -- waiting briefly for the
-SIGTERM-flushed partial telemetry message the worker's abort handler
+Every executor speaks the same protocol to the resilient harness:
+``start()`` returns a pollable connection; the harness drains that
+connection itself and hands the attempt's terminal message to
+``finish(conn, message)`` (``None`` means the worker died without
+reporting); ``abort()`` terminates a hung attempt -- waiting briefly for
+the SIGTERM-flushed partial telemetry message the worker's abort handler
 tries to send, and returning that salvage (or ``None``) -- and
 ``close()`` tears everything down.  Wire messages carry a telemetry
 snapshot as their last element (see :mod:`repro.obs.campaign`).
@@ -39,12 +40,12 @@ Heartbeats: when the ``obs_spec`` carries a positive ``heartbeat_s``,
 every attempt runs a :class:`~repro.experiments.supervise.HeartbeatPump`
 thread that piggybacks ``("hb", seq)`` liveness beats on the *same*
 duplex pipe the result travels on -- no extra file descriptors, no wire
-format change (terminal messages are still the PR 6 tuples; parents that
-do not expect beats simply skip them, see :func:`_recv_final`).  Beats
-share a send lock with the final message because ``Connection.send`` is
-not thread-safe.  The harness's timeout/retry/checkpoint semantics live
-entirely in :func:`repro.experiments.parallel.resilient_sweep` and are
-identical on either engine.
+format change (terminal messages are still the PR 6 tuples; the harness
+skips beats with :func:`_is_heartbeat`).  Beats share a send lock with
+the final message because ``Connection.send`` is not thread-safe.  The
+harness's timeout/retry/checkpoint semantics live entirely in
+:func:`repro.experiments.parallel.resilient_sweep` and are identical on
+every executor.
 """
 
 from __future__ import annotations
@@ -80,10 +81,6 @@ __all__ = [
     "created_shm_segments",
 ]
 
-#: Sentinel distinguishing "no pre-received message" from an explicit
-#: ``None`` ("the worker died mute") in ``finish(conn, message=...)``.
-_NO_MESSAGE = object()
-
 
 def _is_heartbeat(message: Any) -> bool:
     """Whether a wire message is a liveness beat rather than a result."""
@@ -92,19 +89,6 @@ def _is_heartbeat(message: Any) -> bool:
         and len(message) == 2
         and message[0] == "hb"
     )
-
-
-def _recv_final(conn) -> Any:
-    """Receive the next *terminal* message, skipping queued heartbeats.
-
-    Raises ``EOFError``/``OSError`` like a bare ``recv`` when the worker
-    died -- callers already map that to the mute-crash path.
-    """
-    while True:
-        message = conn.recv()
-        if _is_heartbeat(message):
-            continue
-        return message
 
 
 def _drain_salvage(conn, timeout: float = 0.5) -> Any:
@@ -211,7 +195,7 @@ class SharedTraceStore:
 
 
 # ----------------------------------------------------------------------
-# Attempt execution (shared by both executors' children)
+# Attempt execution (shared by every executor)
 # ----------------------------------------------------------------------
 
 
@@ -289,19 +273,20 @@ def _attempt_message(
 
 
 def _pool_worker_main(conn) -> None:
-    """Warm worker request loop: serve unit attempts until told to stop.
+    """Worker request loop: serve unit attempts until told to stop.
 
+    The one child entry point of every process executor: a pool worker
+    serves many requests, a spawn worker is stopped after its first.
     State deliberately persists across requests -- memoised warm-L2 images
     and imported modules are the warmth the pool exists to amortise.
     Shipped traces are not: each lives only as long as its unit (see
     :func:`~repro.experiments.parallel._workload_task`).  The loop exits
     on a ``stop`` request or when the parent end of the pipe disappears.
     """
-    # A warm worker lives for the whole sweep with a large inherited heap
-    # (modules and whatever the parent built before the fork).  Freeze it
-    # out of the cyclic collector: per-unit garbage still dies young, but
-    # full collections stop rescanning -- and COW-unsharing -- objects
-    # that live until exit anyway.
+    # A worker starts with a large inherited heap (modules and whatever
+    # the parent built before the fork).  Freeze it out of the cyclic
+    # collector, so full collections never rescan -- and COW-unshare --
+    # objects that live until exit anyway.
     gc.freeze()
     # SIGTERM (the harness aborting a hung attempt) raises WorkerAborted
     # so the in-flight attempt can flush a final partial telemetry
@@ -326,10 +311,21 @@ def _pool_worker_main(conn) -> None:
                 break
             _tag, task, workload, attempt, plan, *rest = request
             obs_spec = rest[0] if rest else None
-            message = _attempt_message(
-                task, plan, workload, attempt, obs_spec,
-                conn=conn, send_lock=send_lock,
-            )
+            # A unit's objects -- its Systems, each with a cloned warm L2
+            # of a few containers per set -- die by reference counting
+            # when the unit ends, so collecting while they live only
+            # rescans them: about a quarter of a short unit's time, all
+            # of it during System construction.  Pause the collector for
+            # the attempt; the few cycles a unit leaves behind go at the
+            # first collection after it.
+            gc.disable()
+            try:
+                message = _attempt_message(
+                    task, plan, workload, attempt, obs_spec,
+                    conn=conn, send_lock=send_lock,
+                )
+            finally:
+                gc.enable()
             try:
                 with send_lock:
                     conn.send(message)
@@ -348,30 +344,6 @@ def _pool_worker_main(conn) -> None:
             pass
 
 
-def _spawn_entry(
-    conn,
-    task: tuple,
-    plan: FaultPlan | None,
-    workload: str,
-    attempt: int,
-    obs_spec: dict | None = None,
-) -> None:
-    """One-shot child entry for :class:`SpawnExecutor` (PR 3 semantics)."""
-    install_sigterm_flush()
-    send_lock = threading.Lock()
-    try:
-        message = _attempt_message(
-            task, plan, workload, attempt, obs_spec,
-            conn=conn, send_lock=send_lock,
-        )
-        with send_lock:
-            conn.send(message)
-    except (BrokenPipeError, OSError, WorkerAborted):
-        pass
-    finally:
-        conn.close()
-
-
 # ----------------------------------------------------------------------
 # Executors
 # ----------------------------------------------------------------------
@@ -380,8 +352,9 @@ def _spawn_entry(
 class WorkerPool:
     """Persistent warm-worker executor.
 
-    Workers are forked lazily (the first ``jobs`` concurrent attempts
-    each fork one) and reused for every later attempt.  ``finish`` on a
+    Workers are forked lazily (an attempt that finds no idle worker
+    forks one) and reused for every later attempt; the sweep caps the
+    attempts in flight, so it caps the workers too.  ``finish`` on a
     cleanly-reporting worker returns it to the idle list; a worker that
     died mid-attempt (crash) or was :meth:`abort`-ed (hang) is reaped and
     counted in ``workers_recycled`` -- its replacement forks lazily on
@@ -389,13 +362,8 @@ class WorkerPool:
     rebuild.
     """
 
-    def __init__(
-        self, jobs: int, mp_context=None, obs_spec: dict | None = None
-    ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {jobs}")
+    def __init__(self, mp_context=None, obs_spec: dict | None = None) -> None:
         self._ctx = mp_context if mp_context is not None else multiprocessing
-        self._jobs = jobs
         self._obs_spec = obs_spec
         self._idle: list[tuple[Any, Any]] = []  # (conn, process)
         self._busy: dict[Any, Any] = {}  # conn -> process
@@ -434,6 +402,22 @@ class WorkerPool:
         self.workers_recycled += 1
         get_default_registry().counter("sweep_pool.recycled").inc()
 
+    def _retire(self, conn, proc) -> None:
+        """Stop a healthy idle worker gracefully (not a recycle)."""
+        try:
+            conn.send(("stop",))
+        except (BrokenPipeError, OSError):
+            pass
+        proc.join(timeout=2.0)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join()
+        try:
+            conn.close()
+        except OSError:
+            pass
+        self._ids.pop(conn, None)
+
     def worker_id(self, conn) -> int:
         """Stable identity of the worker behind a connection.
 
@@ -470,22 +454,15 @@ class WorkerPool:
             self._busy[conn] = proc
             return conn
 
-    def finish(self, conn, message: Any = _NO_MESSAGE) -> tuple[Any, int | None]:
-        """Collect an attempt's ``(message, exitcode)``.
+    def finish(self, conn, message: Any) -> tuple[Any, int | None]:
+        """Settle an attempt on the terminal ``message`` the harness drained.
 
-        ``message is None`` means the worker died without reporting (it
-        is reaped and counted recycled; ``exitcode`` carries its status).
-        Otherwise the worker goes back to the idle list, still warm.
-        The supervised loop receives messages itself (to see heartbeats)
-        and passes the terminal one in; a bare ``finish(conn)`` still
-        receives it here, skipping any queued beats.
+        ``message is None`` means the worker died without reporting: it
+        is reaped and counted recycled, and ``exitcode`` carries its
+        status.  Otherwise the worker goes back to the idle list, still
+        warm.
         """
         proc = self._busy.pop(conn)
-        if message is _NO_MESSAGE:
-            try:
-                message = _recv_final(conn)
-            except (EOFError, OSError):
-                message = None
         if message is None:
             self._reap(conn, proc)
             return None, proc.exitcode
@@ -513,18 +490,7 @@ class WorkerPool:
             return
         self._closed = True
         for conn, proc in self._idle:
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-            proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-            try:
-                conn.close()
-            except OSError:
-                pass
+            self._retire(conn, proc)
         self._idle.clear()
         for conn, proc in self._busy.items():
             proc.terminate()
@@ -539,75 +505,18 @@ class WorkerPool:
         self._busy.clear()
 
 
-class SpawnExecutor:
-    """PR 3 semantics: one freshly spawned process per attempt.
+class SpawnExecutor(WorkerPool):
+    """One fresh worker per attempt: the pool's worker, retired at finish.
 
-    Kept behind the executor protocol as the cold-start reference the
-    throughput benchmark compares against, and as a fallback engine
-    (``resilient_sweep(..., executor="spawn")``).
+    Nothing is ever parked idle, so every ``start`` forks, and a worker
+    that reported is stopped instead of kept warm.  Crashes and aborts
+    go through the pool's reap, so ``workers_spawned`` counts attempts
+    and ``workers_recycled`` only the workers they killed.  Kept as the
+    cold-start reference the throughput benchmark compares against.
     """
 
-    def __init__(self, mp_context=None, obs_spec: dict | None = None) -> None:
-        self._ctx = mp_context if mp_context is not None else multiprocessing
-        self._busy: dict[Any, Any] = {}
-        self._ids: dict[Any, int] = {}
-        self._obs_spec = obs_spec
-        self.workers_spawned = 0
-        self.workers_recycled = 0
-
-    def start(
-        self, task: tuple, workload: str, attempt: int, plan: FaultPlan | None
-    ):
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_spawn_entry,
-            args=(child_conn, task, plan, workload, attempt, self._obs_spec),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        self._ids[parent_conn] = self.workers_spawned
-        self.workers_spawned += 1
-        self._busy[parent_conn] = proc
-        return parent_conn
-
-    def worker_id(self, conn) -> int:
-        """Spawn-order id (every attempt gets a fresh process/id here)."""
-        return self._ids.get(conn, -1)
-
-    def finish(self, conn, message: Any = _NO_MESSAGE) -> tuple[Any, int | None]:
-        proc = self._busy.pop(conn)
-        self._ids.pop(conn, None)
-        if message is _NO_MESSAGE:
-            try:
-                message = _recv_final(conn)
-            except (EOFError, OSError):
-                message = None
-        conn.close()
-        proc.join()
-        if message is None:
-            # The one-shot worker died without reporting; count the loss
-            # like the pool does so recycle accounting is engine-agnostic.
-            self.workers_recycled += 1
-        return message, proc.exitcode
-
-    def abort(self, conn) -> Any:
-        proc = self._busy.pop(conn)
-        self._ids.pop(conn, None)
-        proc.terminate()
-        salvage = _drain_salvage(conn)
-        proc.join(timeout=2.0)
-        if proc.is_alive():
-            proc.kill()
-            proc.join()
-        conn.close()
-        self.workers_recycled += 1
-        return salvage
-
-    def close(self) -> None:
-        for conn, proc in self._busy.items():
-            proc.terminate()
-            proc.join()
-            conn.close()
-        self._busy.clear()
-        self._ids.clear()
+    def finish(self, conn, message: Any) -> tuple[Any, int | None]:
+        message, exitcode = super().finish(conn, message)
+        if message is not None:
+            self._retire(*self._idle.pop())
+        return message, exitcode

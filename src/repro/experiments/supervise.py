@@ -1,18 +1,22 @@
 """Supervised execution: executor backends + campaign guardrails.
 
-The executors (warm pool, spawn-per-attempt) speak a small protocol --
-``start`` / ``finish`` / ``abort`` / ``close`` -- that
-:func:`~repro.experiments.parallel.resilient_sweep` drives.
-:func:`create_executor` resolves a backend name from :data:`EXECUTORS`
-(``pool``, ``spawn``, ``inprocess``); the CLI's ``--executor`` flag takes
-its choices from the same dict.  Besides the two process engines in
-:mod:`repro.experiments.pool`, this module provides
-:class:`InProcessExecutor`, which runs attempts on daemon *threads* in
-the parent process -- no fork, no pipes to a child, ideal for debugging
-a unit under ``pdb`` and for environments where ``fork`` is unavailable.
-It cannot contain a hard crash (an ``os._exit`` chaos action would take
-the parent down) and cannot interrupt a running attempt, so ``abort``
-merely detaches; it advertises ``max_concurrency = 1``.
+The executors speak a small protocol -- ``start`` / ``finish`` /
+``abort`` / ``close`` -- that
+:func:`~repro.experiments.parallel.resilient_sweep` drives; the sweep
+drains each attempt's pipe itself and passes the terminal message to
+``finish``.  :func:`create_executor` resolves a backend name from
+:data:`EXECUTORS` (``pool``, ``spawn``, ``inprocess``); the CLI's
+``--executor`` flag takes its choices from the same dict.  ``pool`` and
+``spawn`` are one process engine, :class:`~repro.experiments.pool.
+WorkerPool`, under two worker lifetimes (warm for the whole sweep, or
+one worker per attempt).  This module adds :class:`InProcessExecutor`,
+which runs attempts on daemon *threads* in the parent process -- no
+fork, no pipes to a child, ideal for debugging a unit under ``pdb`` and
+for environments where ``fork`` is unavailable.  It cannot contain a
+hard crash (an ``os._exit`` chaos action would take the parent down)
+and cannot interrupt a running attempt, so ``abort`` merely detaches; it
+advertises ``max_concurrency = 1``.  All three receive a unit's traces
+the same way: as shared-memory handles the attempt attaches.
 
 **Supervision primitives.**  Small, independently testable pieces the
 sweep loop composes:
@@ -87,34 +91,34 @@ HEARTBEAT_MISSES = 2.0
 # ----------------------------------------------------------------------
 
 
-def _make_pool(jobs: int, obs_spec: dict | None):
+def _make_pool(obs_spec: dict | None):
     from repro.experiments.pool import WorkerPool
 
-    return WorkerPool(jobs, obs_spec=obs_spec)
+    return WorkerPool(obs_spec=obs_spec)
 
 
-def _make_spawn(jobs: int, obs_spec: dict | None):
+def _make_spawn(obs_spec: dict | None):
     from repro.experiments.pool import SpawnExecutor
 
     return SpawnExecutor(obs_spec=obs_spec)
 
 
-def _make_inprocess(jobs: int, obs_spec: dict | None):
+def _make_inprocess(obs_spec: dict | None):
     return InProcessExecutor(obs_spec=obs_spec)
 
 
-#: Backend name -> factory ``(jobs, obs_spec)`` returning an object that
+#: Backend name -> factory ``(obs_spec)`` returning an object that
 #: speaks the executor protocol (``start``/``finish``/``abort``/``close``
 #: plus ``worker_id`` and the ``workers_spawned``/``workers_recycled``
 #: counters).
-EXECUTORS: dict[str, Callable[[int, dict | None], Any]] = {
+EXECUTORS: dict[str, Callable[[dict | None], Any]] = {
     "pool": _make_pool,
     "spawn": _make_spawn,
     "inprocess": _make_inprocess,
 }
 
 
-def create_executor(name: str, jobs: int = 1, obs_spec: dict | None = None):
+def create_executor(name: str, obs_spec: dict | None = None):
     """Instantiate the backend named ``name`` (a key of :data:`EXECUTORS`)."""
     factory = EXECUTORS.get(name)
     if factory is None:
@@ -122,7 +126,7 @@ def create_executor(name: str, jobs: int = 1, obs_spec: dict | None = None):
             f"unknown executor {name!r}; available: "
             f"{', '.join(sorted(EXECUTORS))}"
         )
-    return factory(jobs, obs_spec)
+    return factory(obs_spec)
 
 
 # ----------------------------------------------------------------------
@@ -193,16 +197,9 @@ class InProcessExecutor:
     def worker_id(self, conn) -> int:
         return self._ids.get(conn, -1)
 
-    def finish(self, conn, message: Any = ...) -> tuple[Any, int | None]:
-        from repro.experiments.pool import _recv_final
-
+    def finish(self, conn, message: Any) -> tuple[Any, int | None]:
         thread = self._busy.pop(conn, None)
         self._ids.pop(conn, None)
-        if message is ...:
-            try:
-                message = _recv_final(conn)
-            except (EOFError, OSError):
-                message = None
         if thread is not None:
             thread.join(timeout=1.0)
         conn.close()

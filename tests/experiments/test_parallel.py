@@ -78,28 +78,35 @@ class TestParallelCompare:
 class TestTracePreloading:
     """Parent-generated traces ride to workers instead of being rebuilt."""
 
-    def test_worker_task_uses_preloaded_trace(self):
+    def test_worker_task_uses_preloaded_trace(self, monkeypatch):
         from repro.experiments import _trace_cache
         from repro.experiments.parallel import _trace_needs_for, _workload_task
+        from repro.experiments.pool import SharedTraceStore
         from repro.obs.campaign import begin_worker_obs, end_worker_obs
-        from repro.workloads.profiles import get_profile
 
         config = SimConfig.scaled(**CFG_KW)
         needs = _trace_needs_for(config, "gamess", 0)
         assert [p.name for _, p in needs] == ["gamess"]
         (key, profile), = needs
-        trace = _trace_cache.get_trace(profile, key[1], key[2])
+        store = SharedTraceStore()
+        handle = store.acquire(key, _trace_cache.get_trace(profile, *key[1:]))
         _trace_cache.clear()
-        # After the worker installs the shipped trace, the runner's own
-        # lookup must return the very same object -- no regeneration.
+
+        def no_generation(*_args, **_kwargs):
+            raise AssertionError("the worker regenerated a shipped trace")
+
+        # The worker installs the shipped trace, so the runner's own
+        # lookup must hit it instead of generating.
+        monkeypatch.setattr(_trace_cache, "generate_trace", no_generation)
         begin_worker_obs()
         try:
-            _workload_task(
-                (config, "gamess", ("esteem",), 0, {key: trace}, None)
+            (comparison,), _wall = _workload_task(
+                (config, "gamess", ("esteem",), 0, {key: handle}, None)
             )
         finally:
             end_worker_obs()
-        assert _trace_cache.get_trace(get_profile("gamess"), key[1], key[2]) is trace
+            store.close()
+        assert comparison.workload == "gamess"
 
     def test_dual_core_needs_cover_every_mix_member(self):
         from repro.experiments.parallel import _trace_needs_for
@@ -192,6 +199,42 @@ class TestJustInTimeShipping:
             ("start", "povray", 0),
             ("start", "gamess", 1),
         ]
+
+    @pytest.mark.parametrize("executor", ["pool", "spawn", "inprocess"])
+    def test_every_executor_ships_shm_handles(self, monkeypatch, executor):
+        from repro.experiments.pool import (
+            SpawnExecutor,
+            WorkerPool,
+            active_shm_segments,
+        )
+        from repro.experiments.supervise import InProcessExecutor
+        from repro.workloads.trace import TraceShmHandle
+
+        executor_cls = {
+            "pool": WorkerPool,
+            "spawn": SpawnExecutor,
+            "inprocess": InProcessExecutor,
+        }[executor]
+        shipped = []
+        real_start = executor_cls.start
+
+        def start(self, task, workload, attempt, plan):
+            shipped.append(task[4])
+            return real_start(self, task, workload, attempt, plan)
+
+        monkeypatch.setattr(executor_cls, "start", start)
+        config = SimConfig.scaled(num_cores=2, instructions_per_core=100_000)
+        result = resilient_sweep(
+            config, ["GkNe"], ("esteem",), jobs=1, executor=executor
+        )
+        assert result.completed == ["GkNe"]
+        (preloaded,) = shipped
+        assert len(preloaded) == 2
+        assert all(isinstance(h, TraceShmHandle) for h in preloaded.values())
+        assert active_shm_segments() == []
+        # Attached handles simulate exactly like the parent's own traces.
+        ref = Runner(config).compare("GkNe", "esteem")
+        assert result.comparisons["esteem"][0].result == ref.result
 
 
 def assert_names_failing_workload(result):

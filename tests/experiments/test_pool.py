@@ -181,9 +181,10 @@ class TestShmLifecycle:
         assert poolmod.active_shm_segments() == []
         assert segment_files(fresh) == []
 
-    def test_retry_reuses_the_exported_segment(self, monkeypatch):
-        """A crashed unit's retry ships the handles exported for its
-        first dispatch; the segment is unlinked once the unit settles."""
+    @pytest.mark.parametrize("executor", ["pool", "spawn", "inprocess"])
+    def test_retry_reuses_the_exported_segment(self, monkeypatch, executor):
+        """A failed unit's retry ships the handles exported for its first
+        dispatch; the segment is unlinked once the unit settles."""
         acquired = []
         real_acquire = poolmod.SharedTraceStore.acquire
 
@@ -193,10 +194,12 @@ class TestShmLifecycle:
 
         monkeypatch.setattr(poolmod.SharedTraceStore, "acquire", acquire)
         before = set(poolmod.created_shm_segments())
-        plan = FaultPlan(chaos={"gamess": ("crash",)})
+        # A crash on a parent thread would take the test process down.
+        action = "corrupt" if executor == "inprocess" else "crash"
+        plan = FaultPlan(chaos={"gamess": (action,)})
         result = resilient_sweep(
             config(), ["gamess", "povray"], ("esteem",), jobs=1,
-            retries=1, backoff_s=0.01, plan=plan,
+            retries=1, backoff_s=0.01, plan=plan, executor=executor,
         )
         assert sorted(result.completed) == ["gamess", "povray"]
         assert result.retries == 1
@@ -309,13 +312,56 @@ class TestPerUnitRelease:
             store.close()
         assert poolmod.active_shm_segments() == []
 
-    def test_in_process_trace_objects_stay_cached(self):
-        from repro.experiments import _trace_cache
-        from repro.workloads.profiles import get_profile
+    def test_timed_out_inprocess_attempt_keeps_its_retry_trace(
+        self, monkeypatch
+    ):
+        """An in-process attempt that hangs mid-unit runs on beside its
+        retry after the timeout; when it ends it must not evict the trace
+        the retry attached, or the retry regenerates it."""
+        import threading
 
-        store, task = self._unit("gamess", ("esteem",))
-        store.close()
-        key = next(iter(task[4]))
-        trace = _trace_cache.get_trace(get_profile("gamess"), *key[1:])
-        self._run(task[:4] + ({key: trace}, None))
-        assert _trace_cache._CACHE[key] is trace
+        from repro.experiments import _trace_cache
+        from repro.experiments import parallel
+
+        _trace_cache.clear()
+        generated_by = []
+        generate = _trace_cache.generate_trace
+
+        def recording_generate(*args, **kwargs):
+            generated_by.append(threading.current_thread())
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(_trace_cache, "generate_trace", recording_generate)
+        retry_attached = threading.Event()
+        threads = []
+
+        class HangOnceRunner(Runner):
+            def baseline(self, workload):
+                if not threads:
+                    # The first attempt installed its trace, then hangs
+                    # past the timeout until its retry has installed one
+                    # too, and ends (its ``finally`` discards) first.
+                    threads.append(threading.current_thread())
+                    retry_attached.wait(30)
+                    raise RuntimeError("hung attempt gives up")
+                if not retry_attached.is_set():
+                    threads.append(threading.current_thread())
+                    retry_attached.set()
+                    threads[0].join(30)
+                return super().baseline(workload)
+
+        monkeypatch.setattr(parallel, "Runner", HangOnceRunner)
+        result = resilient_sweep(
+            config(), ["gamess"], ("esteem",), jobs=1, timeout_s=1.0,
+            retries=1, backoff_s=0.01, executor="inprocess",
+        )
+        assert result.completed == ["gamess"]
+        assert result.retries == 1
+        assert len(threads) == 2 and not threads[0].is_alive()
+        # The parent generated the trace once to export it; neither
+        # attempt generated one.
+        assert len(generated_by) == 1
+        assert generated_by[0] not in threads
+        reference = Runner(config()).compare("gamess", "esteem")
+        assert result.comparisons["esteem"] == [reference]
+        assert poolmod.active_shm_segments() == []

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro.config import SimConfig
+from repro.experiments import checkpoint as checkpoint_mod
 from repro.experiments.checkpoint import SweepCheckpoint, sweep_fingerprint
 from repro.experiments.parallel import (
     TRANSIENT_EXC_TYPES,
@@ -316,9 +317,25 @@ class TestCheckpointResume:
                 checkpoint=ckpt, resume=True, seed=1,  # parameters changed
             )
 
+    def test_resume_refuses_checkpoint_of_another_engine(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = config()
+        ckpt = tmp_path / "sweep.ckpt.jsonl"
+        resilient_sweep(cfg, ["gamess"], ("esteem",), jobs=1, checkpoint=ckpt)
+        monkeypatch.setattr(
+            checkpoint_mod, "SIM_ENGINE_VERSION",
+            checkpoint_mod.SIM_ENGINE_VERSION + 1,
+        )
+        with pytest.raises(ValueError, match="different sweep"):
+            resilient_sweep(
+                cfg, ["gamess"], ("esteem",), jobs=1,
+                checkpoint=ckpt, resume=True,
+            )
+
 
 class TestCheckpointFormat:
-    def test_fingerprint_sensitivity(self):
+    def test_fingerprint_sensitivity(self, monkeypatch):
         cfg = config()
         base = sweep_fingerprint(cfg, ("esteem",), 0)
         assert base == sweep_fingerprint(cfg, ("esteem",), 0)
@@ -330,6 +347,8 @@ class TestCheckpointFormat:
         assert base != sweep_fingerprint(
             SimConfig.scaled(instructions_per_core=400_000), ("esteem",), 0
         )
+        monkeypatch.setattr(checkpoint_mod, "SIM_ENGINE_VERSION", 999)
+        assert base != sweep_fingerprint(cfg, ("esteem",), 0)
 
     def test_missing_file_loads_empty(self, tmp_path):
         ckpt = SweepCheckpoint.load(tmp_path / "none.jsonl", "abc")

@@ -8,7 +8,7 @@ import pytest
 
 from repro.config import SimConfig
 from repro.experiments.parallel import resilient_sweep
-from repro.experiments.pool import SpawnExecutor, WorkerPool, _is_heartbeat
+from repro.experiments.pool import WorkerPool, _is_heartbeat
 from repro.experiments.supervise import (
     EXECUTORS,
     LETHAL_EXC_TYPES,
@@ -34,14 +34,24 @@ class TestRegistry:
         assert set(EXECUTORS) == {"pool", "spawn", "inprocess"}
 
     def test_create_resolves_each_builtin(self):
-        pool = create_executor("pool", jobs=1)
+        pool = create_executor("pool")
         try:
             assert isinstance(pool, WorkerPool)
         finally:
             pool.close()
         spawn = create_executor("spawn")
         try:
-            assert isinstance(spawn, SpawnExecutor)
+            # One fresh worker per attempt, retired once it reports; a
+            # unit that raises is no crash, so nothing is recycled.
+            task = (config(), "no-such-benchmark", ("esteem",), 0, {}, None)
+            for attempt in range(2):
+                conn = spawn.start(task, "no-such-benchmark", attempt, None)
+                worker = spawn._busy[conn]
+                message, _exitcode = spawn.finish(conn, conn.recv())
+                assert message[0] == "error"
+                assert not worker.is_alive()
+            assert spawn.workers_spawned == 2
+            assert spawn.workers_recycled == 0
         finally:
             spawn.close()
         inproc = create_executor("inprocess")

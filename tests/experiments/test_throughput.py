@@ -1,9 +1,9 @@
 """Unit tests for the throughput bench module (gating logic + record).
 
 The measurement itself is exercised end to end by ``repro bench
---update`` in the CLI tests and by ``benchmarks/check_throughput.py`` in
-CI; here the gate arithmetic is pinned with synthetic measurements so a
-regression in the rules (not the machine) is caught at unit speed.
+--update`` in the CLI tests and by ``repro bench`` in CI; here the gate
+arithmetic is pinned with synthetic measurements so a regression in the
+rules (not the machine) is caught at unit speed.
 """
 
 from repro.experiments.throughput import (

@@ -67,16 +67,25 @@ class TestByteCap:
 
     def test_discard_releases_the_entry_and_its_bytes(self):
         before = evictions()
-        tc.put("a", 100, 0, synthetic_trace("a", 1000))
+        a = synthetic_trace("a", 1000)
+        tc.put("a", 100, 0, a)
         tc.put("b", 100, 0, synthetic_trace("b", 500))
-        tc.discard("a", 100, 0)
+        tc.discard("a", 100, 0, a)
         assert not cached("a") and cached("b")
         assert tc.current_bytes() == 17 * 500
         gauge = get_default_registry().gauge("trace_cache.bytes")
         assert gauge.value == float(17 * 500)
-        tc.discard("a", 100, 0)  # absent: a no-op
+        tc.discard("a", 100, 0, a)  # absent: a no-op
         assert tc.current_bytes() == 17 * 500
         assert evictions() == before
+
+    def test_discard_spares_an_entry_installed_since(self):
+        first = synthetic_trace("a", 1000)
+        tc.put("a", 100, 0, first)
+        tc.put("a", 100, 0, synthetic_trace("a", 500))
+        tc.discard("a", 100, 0, first)  # replaced: a no-op
+        assert cached("a")
+        assert tc.current_bytes() == 17 * 500
 
 
 class TestEviction:
@@ -137,3 +146,36 @@ class TestEviction:
         tc.clear()
         assert tc.current_bytes() == 0
         assert not cached("a")
+
+
+class TestConcurrentAttempts:
+    def test_byte_count_survives_threads_installing_and_discarding(self):
+        """A timed-out in-process attempt keeps using the cache beside its
+        retry; no interleaving of installs and discards may lose a byte
+        update."""
+        import sys
+        import threading
+
+        def churn(worker):
+            for i in range(3000):
+                key = ("shared", 100, i % 3)
+                trace = synthetic_trace(f"w{worker}", 10 + worker)
+                tc.put(*key, trace)
+                tc.discard(*key, trace)
+
+        threads = [
+            threading.Thread(target=churn, args=(w,)) for w in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert tc.current_bytes() == sum(
+            tc._trace_nbytes(trace) for trace in tc._CACHE.values()
+        )
