@@ -21,7 +21,10 @@ Gates (machine-independent ratios, measured back to back in-process):
   be at least 2x faster with the new engine;
 * in ``--smoke`` mode (CI-sized: 4 workloads x 2 techniques at a tiny
   instruction budget, where process startup dominates each unit) the
-  warm pool alone must beat per-unit spawning by at least 1.3x.
+  warm pool alone must beat per-unit spawning by at least 1.3x.  A
+  failing smoke run also prints the per-unit pool and spawn seconds and
+  the share of a pool unit spent constructing its systems, so a flaky
+  failure can be diagnosed from the log.
 
 Usage::
 
@@ -47,6 +50,7 @@ from repro.experiments import pool as poolmod
 from repro.experiments.parallel import resilient_sweep
 from repro.experiments.result_cache import ResultCache
 from repro.experiments.runner import Runner
+from repro.timing.system import System
 from repro.util import atomic_write_json
 from repro.workloads.profiles import ALL_BENCHMARKS
 
@@ -167,6 +171,41 @@ def run_scenario(workloads, techniques, instructions, rounds) -> dict:
     }
 
 
+def construction_seconds(workloads, techniques, instructions) -> float:
+    """In-process seconds to construct every system of one sweep.
+
+    Each unit builds its baseline plus one system per technique; the
+    warm-L2 images are already cached (as in a warm pool worker), so this
+    is the clone-and-wire cost a unit pays before it simulates.
+    """
+    config = _config(instructions)
+    runner = Runner(config, seed=SEED)
+    total = 0.0
+    for workload in workloads:
+        traces = runner.traces_for(workload)
+        System(config, traces, "baseline")  # caches the warm-L2 image
+        for technique in ("baseline", *techniques):
+            t0 = time.perf_counter()
+            System(config, traces, technique)
+            total += time.perf_counter() - t0
+    return total
+
+
+def _diagnose(summary: dict) -> str:
+    """Per-unit split of a smoke run, printed when its gate fails."""
+    units = summary["workloads"]
+    build_s = construction_seconds(
+        SMOKE_WORKLOADS, SMOKE_TECHNIQUES, SMOKE_INSTRUCTIONS
+    )
+    pool_unit = summary["pool_seconds"] / units
+    return (
+        f"per unit: pool {pool_unit:.4f} s, spawn "
+        f"{summary['spawn_seconds'] / units:.4f} s, construction "
+        f"{build_s / units:.4f} s ({build_s / units / pool_unit:.0%} of a "
+        f"pool unit)"
+    )
+
+
 def _report(summary: dict) -> str:
     return "\n".join(f"{k}: {summary[k]}" for k in sorted(summary))
 
@@ -215,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         if summary["pool_speedup"] < SMOKE_POOL_FLOOR:
             failures.append(
                 f"pool speedup {summary['pool_speedup']}x is below the "
-                f"{SMOKE_POOL_FLOOR}x floor"
+                f"{SMOKE_POOL_FLOOR}x floor; {_diagnose(summary)}"
             )
     elif summary["two_pass_speedup"] < TWO_PASS_FLOOR:
         failures.append(

@@ -9,14 +9,12 @@ writeback-buffer model.
 
 from repro.cache.block import LineState
 from repro.cache.lru import LRUStack
-from repro.cache.cacheset import CacheSet
 from repro.cache.cache import AccessOutcome, CacheStats, SetAssociativeCache
 from repro.cache.hierarchy import HierarchyResult, TwoLevelHierarchy
 from repro.cache.mshr import WritebackBuffer
 
 __all__ = [
     "AccessOutcome",
-    "CacheSet",
     "CacheStats",
     "HierarchyResult",
     "LRUStack",

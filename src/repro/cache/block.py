@@ -1,7 +1,7 @@
 """Per-line cache state shared between the cache model and refresh engines.
 
-The hit/miss machinery lives in per-set Python lists (fast scalar path), but
-the refresh engines need to answer vectorised questions at retention-period
+The cache's tag state lives in its own flat containers (see
+:mod:`repro.cache.cache`), but the refresh engines need to answer vectorised questions at retention-period
 boundaries ("how many valid lines are in active ways?", "which valid lines
 were last touched in phase window w?").  :class:`LineState` holds that global
 per-line state in NumPy arrays indexed by the *global line index*

@@ -663,6 +663,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"{current['instructions']:,} instructions"
         ),
     ))
+    c = current["construction"]
+    print(
+        f"construction: prefill {c['prefill_ms']:.3f} ms, clone "
+        f"{c['clone_ms']:.3f} ms (prefill/clone {c['prefill_over_clone']:.2f}x), "
+        f"export_batch_state {c['export_batch_state_ms']:.3f} ms"
+    )
     _finish_profile(profiler)
 
     if args.update or not BASELINE_PATH.exists():

@@ -38,8 +38,9 @@ class ATDProfiler:
         """Install the profiling hook into the cache's hot path."""
         # Mark leader sets; they stay fully active forever.
         leader_set = set(self.module_map.leaders())
-        for cset in self.cache.sets:
-            cset.is_leader = cset.index in leader_set
+        self.cache.leader[:] = [
+            s in leader_set for s in range(self.cache.num_sets)
+        ]
         self.cache.module_of_set = self.module_map.module_of_set_list()
         self.cache.profile_hist = self.hist
 

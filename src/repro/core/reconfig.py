@@ -104,11 +104,11 @@ class ReconfigurationController:
         if any_shrink and not self.drowsy:
             self._flush_gated(n_active_way, stats)
 
-        sets_list = cache.sets
+        n_active = cache.n_active
         for m, old, new in changed:
             followers = self._followers[m]
             for s in followers:
-                sets_list[s].n_active = new
+                n_active[s] = new
             stats.transitions += abs(new - old) * len(followers)
             current[m] = new
             # Update the vectorised active mask for the refresh engine.
@@ -127,7 +127,7 @@ class ReconfigurationController:
         decisions (modules are contiguous ascending set ranges); growing or
         unchanged modules produce an empty range (new >= old) and leader
         sets are excluded by forcing theirs empty too.  Writebacks emerge
-        from one row-major np.nonzero, which preserves the historical
+        in ascending global-line order, which preserves the historical
         (module, follower, way)-ascending order because followers ascend
         within each module.
         """
@@ -139,59 +139,21 @@ class ReconfigurationController:
         new_ps = np.repeat(np.asarray(n_active_way, dtype=np.int64), spm)
         new_ps[self._leader_sets_np] = a
         gate = (self._way_idx >= new_ps[:, None]) & (self._way_idx < old_ps[:, None])
-        valid2d = state.valid.reshape(-1, a)
-        gated_valid = valid2d & gate
+        gated_valid = state.valid.reshape(-1, a) & gate
         n_valid = int(np.count_nonzero(gated_valid))
         if n_valid == 0:
             # Invalid lines are never dirty, so there is nothing to flush
             # and the state arrays already read False in the gated ways.
             return
-        dirty2d = state.dirty.reshape(-1, a)
-        gated_dirty = gated_valid & dirty2d
+        gated_dirty = gated_valid & state.dirty.reshape(-1, a)
         n_dirty = int(np.count_nonzero(gated_dirty))
         stats.clean_discards += n_valid - n_dirty
-        sets_list = cache.sets
         if n_dirty:
             # Tags store full line addresses.
-            rows, cols = np.nonzero(gated_dirty)
-            writebacks = stats.writebacks
-            for r, c in zip(rows.tolist(), cols.tolist()):
-                writebacks.append(sets_list[r].tags[c])
-        # Only sets actually holding lines in gated ways pay a Python pass
-        # for the tag list / tag map upkeep.  Ways above the old count are
-        # already empty, so when the gated range outnumbers the surviving
-        # head it is cheaper to rebuild the map from the head than to
-        # delete each gated entry.
-        new_list = new_ps.tolist()
-        old_list = old_ps.tolist()
-        none_tails: dict[int, list[None]] = {}
-        for r in np.nonzero(gated_valid.any(axis=1))[0].tolist():
-            cset = sets_list[r]
-            tags = cset.tags
-            lo = new_list[r]
-            hi = old_list[r]
-            if hi - lo >= lo:
-                head = tags[:lo]
-                if None in head:
-                    cset.tag_map = {
-                        tag: w for w, tag in enumerate(head) if tag is not None
-                    }
-                else:
-                    cset.tag_map = dict(zip(head, range(lo)))
-                n_tail = a - lo
-                tail = none_tails.get(n_tail)
-                if tail is None:
-                    tail = none_tails[n_tail] = [None] * n_tail
-                tags[lo:] = tail
-            else:
-                tag_map = cset.tag_map
-                for way in range(lo, hi):
-                    tag = tags[way]
-                    if tag is not None:
-                        del tag_map[tag]
-                        tags[way] = None
-        valid2d &= ~gate
-        dirty2d &= ~gate
+            stats.writebacks.extend(
+                cache.tags[np.flatnonzero(gated_dirty)].tolist()
+            )
+        cache.drop_lines(np.flatnonzero(gated_valid))
 
     # ------------------------------------------------------------------
 

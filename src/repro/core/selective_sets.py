@@ -140,14 +140,7 @@ class SelectiveSetsController:
         state = cache.state
         dirty = int(np.count_nonzero(state.valid & state.dirty))
         clean = int(np.count_nonzero(state.valid & ~state.dirty))
-        for cset in cache.sets:
-            tags = cset.tags
-            for way in range(len(tags)):
-                tags[way] = None
-            cset.tag_map.clear()
-        state.valid[:] = False
-        state.dirty[:] = False
-        state.last_window[:] = -1
+        cache.invalidate_all()
         return dirty, clean
 
     def _apply_set_count(self, wanted_sets: int) -> None:

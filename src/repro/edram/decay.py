@@ -98,17 +98,11 @@ class CacheDecayRefresh(RefreshEngine):
             self._refresh_stamp[live] = w
 
         if expired.any():
-            a = self.cache.associativity
-            sets = self.cache.sets
             dirty = expired & state.dirty
             n_dirty = int(np.count_nonzero(dirty))
             self.decay_writebacks += n_dirty
             self._delta_writebacks += n_dirty
-            for g in np.nonzero(expired)[0]:
-                sets[g // a].drop_way(g % a)
-            state.valid[expired] = False
-            state.dirty[expired] = False
-            state.last_window[expired] = -1
+            self.cache.drop_lines(np.flatnonzero(expired))
             self._refresh_stamp[expired] = -(10**9)
             self.decayed += int(np.count_nonzero(expired))
         return count

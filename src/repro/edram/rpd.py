@@ -71,11 +71,6 @@ class RefrintPolyphaseDirty(RefreshEngine):
 
         clean_due = due & ~state.dirty
         if clean_due.any():
-            a = self.cache.associativity
-            sets = self.cache.sets
-            for g in np.nonzero(clean_due)[0]:
-                sets[g // a].drop_way(g % a)
-            state.valid[clean_due] = False
-            state.last_window[clean_due] = -1
+            self.cache.drop_lines(np.flatnonzero(clean_due))
             self.invalidations += int(np.count_nonzero(clean_due))
         return count

@@ -139,7 +139,7 @@ class FaultInjector:
         while i < len(events) and events[i].cycle <= boundary_cycle:
             ev = events[i]
             i += 1
-            if ev.way >= a or ev.set_index >= len(self.cache.sets):
+            if ev.way >= a or ev.set_index >= self.cache.num_sets:
                 self._record(None, ev.bits, boundary_cycle, "masked", "event")
                 continue
             g = ev.set_index * a + ev.way

@@ -17,7 +17,7 @@ contract this kernel relies on is:
 
 * single core (multi-core record interleaving is cycle-dependent, so
   outcomes cannot be precomputed), core address offset 0;
-* every set has all ways active (``n_active == associativity``) and the
+* every set has all ways active (``n_active[s] == associativity``) and the
   full set mask is live -- so victim arbitration is the plain full-set
   LRU the timestamp matrix models, and drowsy hits are impossible;
 * the refresh engine never mutates tags/valid/dirty/recency at
@@ -25,7 +25,7 @@ contract this kernel relies on is:
   that merely *read* line state mid-buffer (RPV reads ``valid`` and
   ``last_window``; periodic-valid reads ``valid``) stay accurate because
   the commit loop keeps valid/dirty/``last_window``/tags live per
-  record -- only the recency ``order`` lists are deferred to buffer
+  record -- only the per-set ``recency`` lists are deferred to buffer
   retirement, and no maintenance path reads those;
 * the buffer is retired (recency orders written back via
   :meth:`SetAssociativeCache.import_recency_orders
@@ -290,17 +290,12 @@ def build_batch(
         kb.pf_np = None
 
     # Commit-loop views: ``g_list[j]`` is the global line index touched
-    # by hit record ``j`` (base + way), or ``-(set_index + 1)`` on a miss
-    # so the loop can branch on sign and still recover the set.
+    # by hit record ``j`` (base + way), or -1 on a miss, whose filled
+    # line, evicted address and writeback flag come from ``miss_data``.
     g = set_idx * a + way
-    kb.g_list = np.where(hit, g, -(set_idx.astype(np.int64) + 1)).tolist()
+    kb.g_list = np.where(hit, g, -1).tolist()
     miss = ~hit
     kb.miss_data = list(
-        zip(
-            g[miss].tolist(),
-            way[miss].tolist(),
-            old_tag[miss].tolist(),
-            wb[miss].tolist(),
-        )
+        zip(g[miss].tolist(), old_tag[miss].tolist(), wb[miss].tolist())
     )
     return kb

@@ -91,10 +91,11 @@ TECHNIQUES: tuple[str, ...] = (
 #: disjoint without disturbing set indexing).
 _CORE_OFFSET_SHIFT = 40
 
-#: Warmed-L2 images keyed by (geometry, phases, footprint): building and
-#: prefilling a 4 MB cache costs ~20 ms, cloning an image a couple; sweeps
-#: and repeated runs construct many systems over identical inputs.  Bounded
-#: LRU so a long multi-workload sweep cannot grow it without limit.
+#: Warmed-L2 images keyed by (geometry, phases, capped prefill target):
+#: building and prefilling a 4 MB cache costs several times a clone of its
+#: image; sweeps and repeated runs construct many systems over identical
+#: inputs.  Bounded (oldest entry evicted first) so a long multi-workload
+#: sweep cannot grow it without limit.
 _L2_IMAGE_CACHE: dict[tuple, tuple[tuple, float]] = {}
 _L2_IMAGE_CACHE_MAX = 8
 
@@ -310,21 +311,26 @@ class System:
         """Build the shared L2 and warm it with the workloads' footprint.
 
         The result of construction + prefill is fully determined by the
-        geometry, the phase count, and the footprint target, so it is
+        geometry, the phase count, and the capped prefill target, so it is
         snapshotted once per distinct key and cloned on every later
-        construction (sweeps build many systems over identical inputs).
+        construction (sweeps build many systems over identical inputs;
+        every workload whose footprint overflows the L2 shares one image).
         """
         geo = self.config.l2
+        target = min(
+            sum(t.footprint_lines for t in self.traces),
+            geo.num_sets * geo.associativity,
+        )
         key = (
             geo.num_sets,
             geo.associativity,
             self.config.refresh.rpv_phases,
-            sum(t.footprint_lines for t in self.traces),
+            target,
         )
         cached = _L2_IMAGE_CACHE.get(key)
         if cached is None:
             l2 = SetAssociativeCache(geo, name="L2")
-            fraction = self._prefill_cache(l2)
+            fraction = self._prefill_cache(l2, target)
             while len(_L2_IMAGE_CACHE) >= _L2_IMAGE_CACHE_MAX:
                 _L2_IMAGE_CACHE.pop(next(iter(_L2_IMAGE_CACHE)))
             _L2_IMAGE_CACHE[key] = (l2.snapshot_image(), fraction)
@@ -332,62 +338,39 @@ class System:
         image, fraction = cached
         return SetAssociativeCache.from_image(geo, image, name="L2"), fraction
 
-    def _prefill_cache(self, l2: SetAssociativeCache) -> float:
-        """Warm the L2 with the workloads' paper-scale stale footprint.
+    def _prefill_cache(self, l2: SetAssociativeCache, target: int) -> float:
+        """Warm the L2 with ``target`` lines of paper-scale stale footprint.
 
         The paper fast-forwards 10 B instructions and measures 400 M; by
         then a workload's distinct-line footprint (capped at the LLC
-        capacity) sits in the cache as valid-but-stale data that the
-        refresh policies must keep alive.  We pre-fill that fraction with
-        unique junk tags (valid, clean, phase-window 0) spread way-major
-        across the sets.  Hit/miss behaviour is unaffected -- junk is never
-        hit and loses victim arbitration to invalid ways -- but valid-line
-        refresh counts (RPV, periodic-valid, ESTEEM) see the warmed state.
+        capacity: ``target``) sits in the cache as valid-but-stale data
+        that the refresh policies must keep alive.  We pre-fill that many
+        ways with never-hit stale lines (valid, clean, see
+        :meth:`SetAssociativeCache.fill_stale
+        <repro.cache.cache.SetAssociativeCache.fill_stale>`) spread
+        way-major across the sets.  Hit/miss behaviour is unaffected --
+        stale lines are never hit and lose victim arbitration to invalid
+        ways -- but valid-line refresh counts (RPV, periodic-valid,
+        ESTEEM) see the warmed state.
         """
-        total_footprint = sum(t.footprint_lines for t in self.traces)
-        num_lines = l2.state.num_lines
-        if total_footprint <= 0:
+        if target <= 0:
             return 0.0
-        target = min(total_footprint, num_lines)
-        sets = l2.sets
-        state = l2.state
+        num_lines = l2.state.num_lines
         a = l2.associativity
         s_count = l2.num_sets
         full_ways = min(target // s_count, a)
         remainder = target % s_count
-        set_bits = l2.set_bits
-        junk_high = 1 << 45  # far above any real tag bits
-        phases = self.config.refresh.rpv_phases
-
-        # Per-line state is filled with whole-array operations; only the
-        # per-set tag list / tag map need a Python pass.  A fabricated but
-        # self-consistent line address per way: maps back to its set and
-        # collides with no real workload line.
         filled = np.zeros((s_count, a), dtype=bool)
         filled[:, :full_ways] = True
         if remainder and full_ways < a:
             filled[:remainder, full_ways] = True
-        g = np.arange(num_lines, dtype=np.int64)
+        flat = filled.reshape(num_lines)
+        l2.fill_stale(flat)
         # Stagger stale lines across the refresh phases: real steady-state
         # data is phase-distributed, and synchronised stamps would make RPV
         # refresh the whole cache in one burst window.
-        flat = filled.reshape(num_lines)
-        state.valid[flat] = True
-        state.dirty[flat] = False
-        state.last_window[flat] = (-(g % phases))[flat]
-        junk_rows = (
-            ((junk_high + np.arange(a, dtype=np.int64)) << set_bits)[None, :]
-            | np.arange(s_count, dtype=np.int64)[:, None]
-        ).tolist()
-        way_range = range(a)
-        for s_idx, cset in enumerate(sets):
-            ways = full_ways + 1 if s_idx < remainder else full_ways
-            ways = min(ways, a)
-            if not ways:
-                break
-            row = junk_rows[s_idx][:ways]
-            cset.tags[:ways] = row
-            cset.tag_map = dict(zip(row, way_range))
+        g = np.arange(num_lines, dtype=np.int64)
+        l2.state.last_window[flat] = (-(g % self.config.refresh.rpv_phases))[flat]
         return target / num_lines
 
     # ------------------------------------------------------------------
@@ -544,14 +527,23 @@ class System:
         l2_latency = cfg.l2.latency_cycles
         drowsy_wakeup = cfg.esteem.drowsy_wakeup_cycles
         # Cache internals (shared with access(); see cache.py hot path).
-        sets = l2.sets
+        # Every container is mutated in place by maintenance code, never
+        # rebound, so hoisting them once per run is safe.
         asm = l2.active_set_mask
         a = l2.associativity
         state = l2.state
-        # Memoryviews over the shared per-line state buffers: element
-        # get/set is ~2x cheaper than NumPy scalar indexing, and writes
-        # land in the same memory the vectorised refresh/maintenance code
-        # reads.
+        line_index = l2.line_index
+        lget = line_index.get
+        lpop = line_index.pop
+        recency = l2.recency
+        n_active = l2.n_active
+        leader = l2.leader
+        resident = l2.resident
+        # Memoryviews over the flat tag array and the shared per-line
+        # state buffers: element get/set is ~2x cheaper than NumPy scalar
+        # indexing, and writes land in the same memory the vectorised
+        # refresh/maintenance code reads.
+        tags_mv = memoryview(l2.tags)
         valid_mv = memoryview(state.valid)
         dirty_mv = memoryview(state.dirty)
         lw_mv = memoryview(state.last_window)
@@ -589,7 +581,7 @@ class System:
         a1 = a - 1
         # In drowsy gating mode lines survive in gated ways, so the
         # "every enabled way is resident" victim fast path below would
-        # miscount residency from ``len(tag_map)``.
+        # miscount residency from the per-set ``resident`` count.
         drowsy_mode = cfg.esteem.gating_mode == "drowsy"
 
         # --- batch-kernel eligibility (static half) --------------------
@@ -615,7 +607,7 @@ class System:
         set_mask = l2.set_mask
         leader_np = module_np = None
         if use_kernel and profile_hist is not None:
-            leader_np = np.array([s.is_leader for s in sets], dtype=bool)
+            leader_np = np.array(leader, dtype=bool)
             module_np = np.asarray(module_of_set, dtype=np.int64)
         kb = None
         # Skew fallback: when a stretch is too set-skewed for the kernel,
@@ -763,15 +755,14 @@ class System:
                         lw_mv[g] = window
                         cycles = cycles + (gcpi_l[i] + lat_base)
                     else:
-                        # Classified miss in set ``-1 - g``.
-                        cset = sets[-1 - g]
-                        g, victim, old_tag, wbf = mdat[mi]
+                        # Classified miss: fill line ``g``.
+                        g, old_tag, wbf = mdat[mi]
                         mi += 1
-                        tag_map = cset.tag_map
                         addr = addrs_l[i]
                         now = int(cycles)
                         if old_tag >= 0:
-                            del tag_map[old_tag]
+                            # A stale prefill line has no index entry.
+                            lpop(old_tag, None)
                             if wbf:
                                 wbs += 1
                                 if mm_next_free > now:
@@ -782,8 +773,9 @@ class System:
                                 mm_writes += 1
                         else:
                             valid_mv[g] = True
-                        cset.tags[victim] = addr
-                        tag_map[addr] = victim
+                            resident[g // a] += 1
+                        tags_mv[g] = addr
+                        line_index[addr] = g
                         dirty_mv[g] = writes_l[i]
                         lw_mv[g] = window
                         if mm_next_free > now:
@@ -872,97 +864,98 @@ class System:
                     window_end = (window + 1) * phase_cycles
                     next_chk = window_end if window_end < horizon else horizon
                 addr = addrs_l[i]
-                cset = sets[addr & asm]
-                way = cset.tag_map.get(addr, -1)
-                if way >= 0:
+                g = lget(addr, -1)
+                if g >= 0:
                     # Hit: promote to MRU, record recency position.  In
                     # off-mode gating a follower's gated ways never hold a
                     # line and leaders never gate, so the drowsy-way test
                     # can only pass in drowsy mode -- guard on the mode
                     # flag first to spare the common path the probes.
-                    if drowsy_mode and way >= cset.n_active and not cset.is_leader:
+                    s = addr & asm
+                    if drowsy_mode and g - s * a >= n_active[s] and not leader[s]:
                         dhits += 1
                         latency = lat_base + drowsy_wakeup
                     else:
                         latency = lat_base
-                    order = cset.order
-                    if order[0] == way:
+                    order = recency[s]
+                    if order[0] == g:
                         pos = 0
                     else:
-                        pos = order.index(way)
+                        pos = order.index(g)
                         del order[pos]
-                        order.insert(0, way)
+                        order.insert(0, g)
                     hits += 1
                     hbp[pos] += 1
-                    g = cset.base + way
                     if writes_l[i]:
                         dirty_mv[g] = True
                         if write_counts is not None:
                             write_counts[g] += 1
                     lw_mv[g] = window
-                    if profile_hist is not None and cset.is_leader:
-                        profile_hist[module_of_set[cset.index]][pos] += 1
+                    if profile_hist is not None and leader[s]:
+                        profile_hist[module_of_set[s]][pos] += 1
                 else:
                     # Miss: victim selection + fill, then the memory fetch.
                     misses += 1
-                    tags = cset.tags
-                    tag_map = cset.tag_map
-                    order = cset.order
-                    n_act = cset.n_active
+                    s = addr & asm
+                    order = recency[s]
+                    n_act = n_active[s]
                     promote = True
                     if n_act == a:
-                        if len(tag_map) == a:
+                        if resident[s] == a:
                             # Full set (steady state): evict the recency
                             # tail; its position is known, so no scan.
-                            victim = order[-1]
-                            del order[-1]
-                            order.insert(0, victim)
+                            g = order.pop()
+                            order.insert(0, g)
                             promote = False
                         else:
-                            victim = tags.index(None)
-                    elif not drowsy_mode and len(tag_map) == n_act:
+                            # First invalid way of the set.
+                            g = s * a
+                            g += valid_mv[g : g + a].tobytes().find(0)
+                    elif not drowsy_mode and resident[s] == n_act:
                         # Shrunken set, every enabled way resident: the
                         # victim is the LRU enabled way; capture its
                         # recency position during the scan so promotion
                         # needs no second pass.
+                        lim = s * a + n_act
                         pos = a1
-                        victim = -1
+                        g = -1
                         for w in reversed(order):
-                            if w < n_act:
-                                victim = w
+                            if w < lim:
+                                g = w
                                 break
                             pos -= 1
-                        if victim < 0:
+                        if g < 0:
                             raise RuntimeError(
-                                f"{l2.name}: set {cset.index} has no "
+                                f"{l2.name}: set {s} has no "
                                 f"enabled way to fill (n_active="
                                 f"{n_act}, associativity={a})"
                             )
                         if pos:
                             del order[pos]
-                            order.insert(0, victim)
+                            order.insert(0, g)
                         promote = False
                     else:
-                        head = tags[:n_act]
-                        if None in head:
-                            victim = head.index(None)
+                        lim = s * a
+                        g = valid_mv[lim : lim + n_act].tobytes().find(0)
+                        if g >= 0:
+                            g += lim
                         else:
-                            victim = -1
+                            lim += n_act
                             for w in reversed(order):
-                                if w < n_act:
-                                    victim = w
+                                if w < lim:
+                                    g = w
                                     break
-                            if victim < 0:
+                            if g < 0:
                                 raise RuntimeError(
-                                    f"{l2.name}: set {cset.index} has no "
+                                    f"{l2.name}: set {s} has no "
                                     f"enabled way to fill (n_active="
                                     f"{n_act}, associativity={a})"
                                 )
-                    g = cset.base + victim
-                    old_tag = tags[victim]
+                    old_tag = tags_mv[g]
                     now = int(cycles)
-                    if old_tag is not None:
-                        del tag_map[old_tag]
+                    if old_tag >= 0:
+                        # A stale prefill line has no index entry.
+                        lpop(old_tag, None)
                         if dirty_mv[g]:
                             # Dirty eviction: post the writeback first so
                             # the demand fetch queues behind it.
@@ -975,18 +968,19 @@ class System:
                             mm_writes += 1
                     else:
                         valid_mv[g] = True
+                        resident[s] += 1
                     is_write = writes_l[i]
-                    tags[victim] = addr
-                    tag_map[addr] = victim
+                    tags_mv[g] = addr
+                    line_index[addr] = g
                     dirty_mv[g] = is_write
                     if is_write and write_counts is not None:
                         write_counts[g] += 1
                     lw_mv[g] = window
                     if promote:
-                        pos = order.index(victim)
+                        pos = order.index(g)
                         if pos:
                             del order[pos]
-                            order.insert(0, victim)
+                            order.insert(0, g)
                     # The demand fetch (MainMemory.read inlined).
                     if mm_next_free > now:
                         wait = mm_next_free - now
@@ -1054,14 +1048,17 @@ class System:
         interval_cycles = cfg.esteem.interval_cycles
         l2_latency = cfg.l2.latency_cycles
         drowsy_wakeup = cfg.esteem.drowsy_wakeup_cycles
-        # Cache internals (shared with access(); see cache.py hot path).
-        sets = l2.sets
+        # Cache internals (hoisted as in :meth:`_run_fast_single`).
         a = l2.associativity
         state = l2.state
-        # Memoryviews over the shared per-line state buffers: element
-        # get/set is ~2x cheaper than NumPy scalar indexing, and writes
-        # land in the same memory the vectorised refresh/maintenance code
-        # reads.
+        line_index = l2.line_index
+        lget = line_index.get
+        lpop = line_index.pop
+        recency = l2.recency
+        n_active = l2.n_active
+        leader = l2.leader
+        resident = l2.resident
+        tags_mv = memoryview(l2.tags)
         valid_mv = memoryview(state.valid)
         dirty_mv = memoryview(state.dirty)
         lw_mv = memoryview(state.last_window)
@@ -1152,95 +1149,96 @@ class System:
                 if best >= window_end:
                     window = int(best) // phase_cycles
                     window_end = (window + 1) * phase_cycles
-                cset = sets[addr & asm]
-                way = cset.tag_map.get(addr, -1)
-                if way >= 0:
+                g = lget(addr, -1)
+                if g >= 0:
                     # Hit: promote to MRU, record recency position.  The
                     # gated-way (drowsy) test can only pass in drowsy
                     # mode -- see :meth:`_run_fast_single`.
-                    if drowsy_mode and way >= cset.n_active and not cset.is_leader:
+                    s = addr & asm
+                    if drowsy_mode and g - s * a >= n_active[s] and not leader[s]:
                         dhits += 1
                         latency = lat_base + drowsy_wakeup
                     else:
                         latency = lat_base
-                    order = cset.order
-                    if order[0] == way:
+                    order = recency[s]
+                    if order[0] == g:
                         pos = 0
                     else:
-                        pos = order.index(way)
+                        pos = order.index(g)
                         del order[pos]
-                        order.insert(0, way)
+                        order.insert(0, g)
                     hits += 1
                     hbp[pos] += 1
-                    g = cset.base + way
                     if writes_[ci][r]:
                         dirty_mv[g] = True
                         if write_counts is not None:
                             write_counts[g] += 1
                     lw_mv[g] = window
-                    if profile_hist is not None and cset.is_leader:
-                        profile_hist[module_of_set[cset.index]][pos] += 1
+                    if profile_hist is not None and leader[s]:
+                        profile_hist[module_of_set[s]][pos] += 1
                 else:
                     # Miss: victim selection + fill, then the memory fetch.
                     misses += 1
-                    tags = cset.tags
-                    tag_map = cset.tag_map
-                    order = cset.order
-                    n_act = cset.n_active
+                    s = addr & asm
+                    order = recency[s]
+                    n_act = n_active[s]
                     promote = True
                     if n_act == a:
-                        if len(tag_map) == a:
+                        if resident[s] == a:
                             # Full set (steady state): evict the recency
                             # tail; its position is known, so no scan.
-                            victim = order[-1]
-                            del order[-1]
-                            order.insert(0, victim)
+                            g = order.pop()
+                            order.insert(0, g)
                             promote = False
                         else:
-                            victim = tags.index(None)
-                    elif not drowsy_mode and len(tag_map) == n_act:
+                            # First invalid way of the set.
+                            g = s * a
+                            g += valid_mv[g : g + a].tobytes().find(0)
+                    elif not drowsy_mode and resident[s] == n_act:
                         # Shrunken set, every enabled way resident: the
                         # victim is the LRU enabled way; capture its
                         # recency position during the scan so promotion
                         # needs no second pass.
+                        lim = s * a + n_act
                         pos = a1
-                        victim = -1
+                        g = -1
                         for w in reversed(order):
-                            if w < n_act:
-                                victim = w
+                            if w < lim:
+                                g = w
                                 break
                             pos -= 1
-                        if victim < 0:
+                        if g < 0:
                             raise RuntimeError(
-                                f"{l2.name}: set {cset.index} has no "
+                                f"{l2.name}: set {s} has no "
                                 f"enabled way to fill (n_active="
                                 f"{n_act}, associativity={a})"
                             )
                         if pos:
                             del order[pos]
-                            order.insert(0, victim)
+                            order.insert(0, g)
                         promote = False
                     else:
-                        head = tags[:n_act]
-                        if None in head:
-                            victim = head.index(None)
+                        lim = s * a
+                        g = valid_mv[lim : lim + n_act].tobytes().find(0)
+                        if g >= 0:
+                            g += lim
                         else:
-                            victim = -1
+                            lim += n_act
                             for w in reversed(order):
-                                if w < n_act:
-                                    victim = w
+                                if w < lim:
+                                    g = w
                                     break
-                            if victim < 0:
+                            if g < 0:
                                 raise RuntimeError(
-                                    f"{l2.name}: set {cset.index} has no "
+                                    f"{l2.name}: set {s} has no "
                                     f"enabled way to fill (n_active="
                                     f"{n_act}, associativity={a})"
                                 )
-                    g = cset.base + victim
-                    old_tag = tags[victim]
+                    old_tag = tags_mv[g]
                     now = int(best)
-                    if old_tag is not None:
-                        del tag_map[old_tag]
+                    if old_tag >= 0:
+                        # A stale prefill line has no index entry.
+                        lpop(old_tag, None)
                         if dirty_mv[g]:
                             # Dirty eviction: post the writeback first so
                             # the demand fetch queues behind it.
@@ -1253,18 +1251,19 @@ class System:
                             mm_writes += 1
                     else:
                         valid_mv[g] = True
+                        resident[s] += 1
                     is_write = writes_[ci][r]
-                    tags[victim] = addr
-                    tag_map[addr] = victim
+                    tags_mv[g] = addr
+                    line_index[addr] = g
                     dirty_mv[g] = is_write
                     if is_write and write_counts is not None:
                         write_counts[g] += 1
                     lw_mv[g] = window
                     if promote:
-                        pos = order.index(victim)
+                        pos = order.index(g)
                         if pos:
                             del order[pos]
-                            order.insert(0, victim)
+                            order.insert(0, g)
                     # The demand fetch (MainMemory.read inlined).
                     if mm_next_free > now:
                         wait = mm_next_free - now

@@ -18,6 +18,11 @@ def cache(tiny_geometry) -> SetAssociativeCache:
     return SetAssociativeCache(tiny_geometry, name="L2batch")
 
 
+def recency_ways(cache, s):
+    """Set ``s``'s recency order as way indices, MRU first."""
+    return [g - s * cache.associativity for g in cache.recency[s]]
+
+
 def _fill_set(cache, set_index, tags, writes=()):
     for t in tags:
         cache.access(cache.line_addr(set_index, t), t in writes)
@@ -50,7 +55,7 @@ class TestExportBatchState:
         _tags, ts0, _dirty = cache.export_batch_state(sets)
         # MRU first: argsort descending must reproduce the order list.
         reconstructed = list(np.argsort(-ts0[0]))
-        assert reconstructed == cache.sets[3].order
+        assert reconstructed == recency_ways(cache, 3)
         # Seeds are distinct negatives so real record indices (>= 0)
         # always rank above every untouched way.
         assert len(set(ts0[0].tolist())) == ts0.shape[1]
@@ -68,22 +73,22 @@ class TestImportRecencyOrders:
     def test_round_trip_preserves_orders(self, cache):
         _fill_set(cache, 3, [10, 11, 12])
         _fill_set(cache, 7, [20, 21])
-        before = [list(cache.sets[s].order) for s in (3, 7)]
+        before = [recency_ways(cache, s) for s in (3, 7)]
         sets = np.array([3, 7], dtype=np.int64)
         _tags, ts0, _dirty = cache.export_batch_state(sets)
         cache.import_recency_orders(sets, np.argsort(-ts0, axis=1))
-        assert [list(cache.sets[s].order) for s in (3, 7)] == before
-        for s in (3, 7):
-            cache.sets[s].check_invariants(cache.state)
+        assert [recency_ways(cache, s) for s in (3, 7)] == before
+        cache.check_invariants()
 
     def test_new_order_is_installed(self, cache):
         _fill_set(cache, 3, [10, 11, 12, 13])
         sets = np.array([3], dtype=np.int64)
         order = np.array([[2, 0, 3, 1]])
         cache.import_recency_orders(sets, order)
-        assert cache.sets[3].order == [2, 0, 3, 1]
+        assert recency_ways(cache, 3) == [2, 0, 3, 1]
         # LRU victim is now way 1 (last in the installed order).
-        assert cache.sets[3].victim_way() == 1
+        cache.access(cache.line_addr(3, 14), False)
+        assert cache.find(cache.line_addr(3, 14)) == cache.state.gidx(3, 1)
 
     def test_bad_permutation_rejected_and_names_set(self, cache):
         _fill_set(cache, 3, [10])
@@ -93,8 +98,9 @@ class TestImportRecencyOrders:
         with pytest.raises(AssertionError, match="set 7"):
             cache.import_recency_orders(sets, orders)
         # Nothing half-applied: set 3's order is untouched.
-        cache.sets[3].check_invariants(cache.state)
+        assert recency_ways(cache, 3) == [0, 1, 2, 3]
+        cache.check_invariants()
 
     def test_set_order_checked_rejects_short_row(self, cache):
-        with pytest.raises(AssertionError):
-            cache.sets[0].set_order_checked([0, 1, 2])
+        with pytest.raises(AssertionError, match="shape"):
+            cache.import_recency_orders(np.array([0]), np.array([[0, 1, 2]]))

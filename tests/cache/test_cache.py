@@ -121,8 +121,7 @@ class TestEviction:
 
 class TestWayGating:
     def test_disabled_ways_shrink_effective_associativity(self, cache):
-        cset = cache.sets[3]
-        cset.n_active = 2
+        cache.n_active[3] = 2
         addrs = [addr_for(cache, 3, t) for t in range(1, 4)]
         for a in addrs:
             cache.access(a, False)
@@ -132,8 +131,7 @@ class TestWayGating:
         assert cache.contains(addrs[2])
 
     def test_victim_prefers_invalid_enabled_way(self, cache):
-        cset = cache.sets[0]
-        cset.n_active = 3
+        cache.n_active[0] = 3
         a = addr_for(cache, 0, 1)
         cache.access(a, False)
         b = addr_for(cache, 0, 2)
@@ -145,11 +143,10 @@ class TestWayGating:
         assert cache.contains(a) and cache.contains(b) and cache.contains(c)
 
     def test_grow_way_count_reuses_empty_ways(self, cache):
-        cset = cache.sets[0]
-        cset.n_active = 2
+        cache.n_active[0] = 2
         for t in range(1, 3):
             cache.access(addr_for(cache, 0, t), False)
-        cset.n_active = 4
+        cache.n_active[0] = 4
         for t in range(3, 5):
             cache.access(addr_for(cache, 0, t), False)
         assert all(cache.contains(addr_for(cache, 0, t)) for t in range(1, 5))
@@ -157,13 +154,12 @@ class TestWayGating:
     def test_no_enabled_way_raises_instead_of_corrupting(self, cache):
         # Regression: with every way gated and none invalid-enabled, the
         # victim scan used to fall through with -1 and the fill landed in
-        # ``cset.base - 1`` -- the *previous set's* last way.  It must be
-        # an error instead.
-        cache.sets[1].n_active = 0
+        # the *previous set's* last way.  It must be an error instead.
+        cache.n_active[1] = 0
         with pytest.raises(RuntimeError, match="no enabled way"):
             cache.access(addr_for(cache, 1, 7), False)
         # The neighbouring set's state was not touched.
-        assert cache.sets[0].tags == [None] * cache.associativity
+        assert (cache.tags[: cache.associativity] == -1).all()
         assert not cache.state.valid[: cache.associativity].any()
 
 

@@ -49,9 +49,9 @@ class TestServiceLevels:
         assert any(r.l1_writeback_to_l2 for r in results)
         # The victim line must now be dirty in L2.
         s = hier.l2.set_index(victim)
-        way = hier.l2.sets[s].find(victim)
-        assert way >= 0
-        assert hier.l2.state.dirty[hier.l2.state.gidx(s, way)]
+        g = hier.l2.find(victim)
+        assert g // hier.l2.associativity == s
+        assert hier.l2.state.dirty[g]
 
     def test_l2_dirty_eviction_surfaces_memory_writeback(self, hier):
         l2 = hier.l2

@@ -36,6 +36,7 @@ def test_hit_plus_miss_equals_accesses(accesses):
         cache.access(addr, w)
     assert cache.stats.hits + cache.stats.misses == len(accesses)
     assert sum(cache.stats.hits_by_position) == cache.stats.hits
+    cache.check_invariants()
 
 
 @given(accesses=accesses)
@@ -48,6 +49,7 @@ def test_resident_lines_bounded_by_capacity(accesses):
     assert len(resident) <= cache.num_sets * cache.associativity
     assert len(set(resident)) == len(resident)  # no duplicates
     assert cache.state.valid_count() == len(resident)
+    cache.check_invariants()
 
 
 @given(accesses=accesses)
@@ -67,12 +69,10 @@ def test_most_recent_access_always_resident_and_mru(accesses):
 @settings(max_examples=60, deadline=None)
 def test_gated_sets_never_hold_more_than_active_ways(accesses, n_active):
     cache = make_cache()
-    for cset in cache.sets:
-        cset.n_active = n_active
+    cache.n_active[:] = [n_active] * cache.num_sets
     for addr, w in accesses:
         cache.access(addr, w)
-    for cset in cache.sets:
-        assert len(cset.resident_tags()) <= n_active
+    assert max(cache.resident) <= n_active
     cache.check_invariants()
 
 
@@ -89,3 +89,4 @@ def test_writebacks_only_for_previously_written_lines(accesses):
         if wb >= 0:
             assert wb in written
             written.discard(wb)  # the dirty copy has left the cache
+    cache.check_invariants()

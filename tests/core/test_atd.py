@@ -22,9 +22,9 @@ def profiler(cache) -> ATDProfiler:
 
 class TestAttachment:
     def test_leader_sets_marked(self, cache, profiler):
-        assert cache.sets[0].is_leader
-        assert cache.sets[8].is_leader
-        assert not cache.sets[1].is_leader
+        assert cache.leader[0]
+        assert cache.leader[8]
+        assert not cache.leader[1]
 
     def test_hook_installed(self, cache, profiler):
         assert cache.profile_hist is profiler.hist

@@ -43,7 +43,7 @@ class TestDrowsyReconfig:
         assert stats.transitions > 0
         # All four lines still resident in a follower set.
         s = mm.followers_in(0)[0]
-        assert len(cache.sets[s].resident_tags()) == 4
+        assert cache.resident[s] == 4
 
     def test_drowsy_lines_marked_inactive(self, cache, mm):
         ctl = ReconfigurationController(cache, mm, drowsy=True)
@@ -62,7 +62,7 @@ class TestDrowsyReconfig:
             cache.access(a, False)
         ctl.apply([2, 4, 4, 4])
         # The line in way 3 is drowsy; hitting it flags the wake-up.
-        way3_addr = cache.sets[s].tags[3]
+        way3_addr = int(cache.tags[cache.state.gidx(s, 3)])
         cache.drowsy_flag = False
         hit, _, _ = cache.access(way3_addr, False)
         assert hit
@@ -75,7 +75,7 @@ class TestDrowsyReconfig:
         addr = cache.line_addr(s, 1)
         cache.access(addr, False)
         ctl.apply([2, 4, 4, 4])
-        way = cache.sets[s].find(addr)
+        way = cache.find(addr) - cache.state.gidx(s, 0)
         if way >= 2:  # ensure we hit an *active* way for this check
             pytest.skip("line landed in a gated way")
         cache.drowsy_flag = False

@@ -22,10 +22,14 @@ def mm() -> ModuleMap:
 @pytest.fixture
 def ctl(cache, mm) -> ReconfigurationController:
     # Mark leaders the way the profiler would.
-    leaders = set(mm.leaders())
-    for cset in cache.sets:
-        cset.is_leader = cset.index in leaders
+    for s in mm.leaders():
+        cache.leader[s] = True
     return ReconfigurationController(cache, mm)
+
+
+def resident_in(cache, s):
+    """Valid lines of set ``s``."""
+    return int(cache.state.valid.reshape(cache.num_sets, -1)[s].sum())
 
 
 def fill_module(cache, mm, module, dirty=False):
@@ -57,15 +61,15 @@ class TestShrink:
         fill_module(cache, mm, 0, dirty=False)
         ctl.apply([1, 4, 4, 4])
         leader = mm.leaders_in(0)[0]
-        assert len(cache.sets[leader].resident_tags()) == 4
-        assert cache.sets[leader].n_active == 4
+        assert resident_in(cache, leader) == 4
+        assert cache.n_active[leader] == 4
 
     def test_followers_shrunk(self, cache, mm, ctl):
         fill_module(cache, mm, 0, dirty=False)
         ctl.apply([2, 4, 4, 4])
         for s in mm.followers_in(0):
-            assert cache.sets[s].n_active == 2
-            assert len(cache.sets[s].resident_tags()) <= 2
+            assert cache.n_active[s] == 2
+            assert resident_in(cache, s) <= 2
         cache.check_invariants()
 
     def test_transition_count(self, cache, mm, ctl):
@@ -97,7 +101,7 @@ class TestGrow:
         s = mm.followers_in(0)[0]
         for t in range(1, 5):
             cache.access(cache.line_addr(s, t), False)
-        assert len(cache.sets[s].resident_tags()) == 4
+        assert resident_in(cache, s) == 4
 
 
 class TestAccounting:
@@ -136,8 +140,9 @@ class TestDataIntegrity:
         state = cache.state
         for s in mm.followers_in(0):
             for w in (2, 3):
-                tag = cache.sets[s].tags[w]  # tags store full addresses
-                if tag is not None and state.dirty[state.gidx(s, w)]:
+                g = state.gidx(s, w)
+                tag = int(cache.tags[g])  # tags store full addresses
+                if state.valid[g] and state.dirty[g]:
                     expected.add(tag)
         stats = ctl.apply([2, 4, 4, 4])
         assert set(stats.writebacks) == expected

@@ -94,6 +94,35 @@ class TestCheck:
         assert check(current, BASELINE) == []
 
 
+class TestConstructionGate:
+    ROW = {
+        "prefill_ms": 4.0,
+        "clone_ms": 0.5,
+        "export_batch_state_ms": 3.0,
+        "prefill_over_clone": 8.0,
+    }
+
+    def with_construction(self, **overrides):
+        current = _current()
+        current["construction"] = dict(self.ROW, **overrides)
+        return current
+
+    def test_identical_construction_passes(self):
+        base = self.with_construction()
+        assert check(self.with_construction(), base) == []
+
+    def test_slower_clone_fails_the_ratio(self):
+        base = self.with_construction()
+        slow = self.with_construction(clone_ms=1.0, prefill_over_clone=4.0)
+        failures = check(slow, base, tolerance=0.25)
+        assert len(failures) == 1
+        assert "prefill/clone" in failures[0]
+        assert check(slow, base, tolerance=0.6) == []
+
+    def test_record_without_construction_is_not_gated(self):
+        assert check(self.with_construction(prefill_over_clone=0.1), BASELINE) == []
+
+
 class TestMakeRecord:
     def test_record_shape(self):
         record = make_record(_current())

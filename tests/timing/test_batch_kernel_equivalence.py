@@ -68,6 +68,8 @@ def _assert_batch_identical(config, traces, technique, fault_plan):
     bf, rf = _fields_with_faults(batch), _fields_with_faults(ref)
     for key in bf:
         assert bf[key] == rf[key], f"{technique}: {key} diverged"
+    if technique != "esteem-drowsy":  # drowsy gated ways keep their lines
+        batch_system.l2.check_invariants()
     return batch_system
 
 
