@@ -669,6 +669,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"{c['clone_ms']:.3f} ms (prefill/clone {c['prefill_over_clone']:.2f}x), "
         f"export_batch_state {c['export_batch_state_ms']:.3f} ms"
     )
+    if "rpv_over_baseline" in current:
+        print(
+            f"rpv/baseline batch time: {current['rpv_over_baseline']:.2f}x"
+        )
     _finish_profile(profiler)
 
     if args.update or not BASELINE_PATH.exists():

@@ -37,10 +37,7 @@ class ATDProfiler:
     def _attach(self) -> None:
         """Install the profiling hook into the cache's hot path."""
         # Mark leader sets; they stay fully active forever.
-        leader_set = set(self.module_map.leaders())
-        self.cache.leader[:] = [
-            s in leader_set for s in range(self.cache.num_sets)
-        ]
+        self.cache.leader[:] = self.module_map.leader_flags()
         self.cache.module_of_set = self.module_map.module_of_set_list()
         self.cache.profile_hist = self.hist
 

@@ -32,7 +32,7 @@ class ModuleMap:
                 "each module needs at least one leader set "
                 f"(sets/module={self.sets_per_module} < R_s={sampling_ratio})"
             )
-        self._leaders = [s for s in range(num_sets) if s % sampling_ratio == 0]
+        self._leaders = list(range(0, num_sets, sampling_ratio))
 
     # ------------------------------------------------------------------
 
@@ -54,18 +54,30 @@ class ModuleMap:
 
     def leaders_in(self, module: int) -> list[int]:
         first, last = self.set_range(module)
-        return [s for s in self._leaders if first <= s < last]
+        rs = self.sampling_ratio
+        return list(range(-(-first // rs) * rs, last, rs))
 
     def followers_in(self, module: int) -> list[int]:
         """Follower (reconfigurable) sets of ``module``."""
         first, last = self.set_range(module)
-        rs = self.sampling_ratio
-        return [s for s in range(first, last) if s % rs != 0]
+        followers = list(range(first, last))
+        # Leaders are the multiples of R_s: one extended-slice delete.
+        del followers[-first % self.sampling_ratio :: self.sampling_ratio]
+        return followers
+
+    def leader_flags(self) -> list[bool]:
+        """Dense ``set -> is leader`` table for the cache's hot path."""
+        flags = [False] * self.num_sets
+        flags[:: self.sampling_ratio] = [True] * len(self._leaders)
+        return flags
 
     def module_of_set_list(self) -> list[int]:
         """Dense ``set -> module`` lookup table for the cache's hot path."""
         spm = self.sets_per_module
-        return [s // spm for s in range(self.num_sets)]
+        table: list[int] = []
+        for m in range(self.num_modules):
+            table += [m] * spm
+        return table
 
     @property
     def num_leaders(self) -> int:

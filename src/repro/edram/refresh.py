@@ -89,6 +89,10 @@ class RefreshEngine(ABC):
         #: identical maintenance schedule, so faulted runs stay
         #: loop-independent and bit-for-bit reproducible.
         self.injector = None
+        #: Scratch mask :meth:`_due_mask` fills in place at every boundary.
+        #: Each engine owns its own, so engines over cloned caches never
+        #: share one.
+        self._due = np.empty(state.num_lines, dtype=bool)
 
     # ------------------------------------------------------------------
 
@@ -105,6 +109,19 @@ class RefreshEngine(ABC):
     @abstractmethod
     def _lines_to_refresh(self, boundary_cycle: int) -> int:
         """Lines refreshed at the boundary starting at ``boundary_cycle``."""
+
+    def _due_mask(self, cutoff: int) -> np.ndarray:
+        """Valid lines last stamped at or before window ``cutoff``.
+
+        The polyphase policies' due set, ``valid & (last_window <=
+        cutoff)``, written into the engine's own buffer with no temporary
+        arrays.  The mask is overwritten by the next call.
+        """
+        due = self._due
+        state = self.state
+        np.less_equal(state.last_window, cutoff, out=due)
+        np.logical_and(due, state.valid, out=due)
+        return due
 
     # ------------------------------------------------------------------
 

@@ -58,19 +58,18 @@ class RefrintPolyphaseDirty(RefreshEngine):
 
     def _lines_to_refresh(self, boundary_cycle: int) -> int:
         w = boundary_cycle // self.config.phase_cycles
-        due_window = w - self.phases
-        state = self.state
-        due = state.valid & (state.last_window <= due_window)
+        due = self._due_mask(w - self.phases)
         if not due.any():
             return 0
 
-        dirty_due = due & state.dirty
+        state = self.state
+        clean_due = np.flatnonzero(due & ~state.dirty)
+        dirty_due = np.logical_and(due, state.dirty, out=due)
         count = int(np.count_nonzero(dirty_due))
         if count:
-            state.last_window[dirty_due] = w
+            np.putmask(state.last_window, dirty_due, w)
 
-        clean_due = due & ~state.dirty
-        if clean_due.any():
-            self.cache.drop_lines(np.flatnonzero(clean_due))
-            self.invalidations += int(np.count_nonzero(clean_due))
+        if clean_due.size:
+            self.cache.drop_lines(clean_due)
+            self.invalidations += int(clean_due.size)
         return count

@@ -17,8 +17,11 @@ RPV does not change hit/miss behaviour or invalidate anything, so its
 ``ActiveRatio`` is always 100% and its MPKI delta is zero (Section 6.4).
 
 Implementation: the cache stamps ``LineState.last_window`` on every access
-(see :meth:`repro.cache.cache.SetAssociativeCache.access`); this engine does
-one vectorised scan per phase boundary.
+(see :meth:`repro.cache.cache.SetAssociativeCache.access`).  A phase
+boundary works in place: it fills the engine's own due mask
+(:meth:`~repro.edram.refresh.RefreshEngine._due_mask`), counts it, and
+re-stamps the due lines with ``np.putmask``.  It allocates no array and
+never rebinds ``last_window``, whose memoryviews the fast loops hold.
 """
 
 from __future__ import annotations
@@ -58,12 +61,11 @@ class RefrintPolyphaseValid(RefreshEngine):
         the validity mask.
         """
         w = boundary_cycle // self.config.phase_cycles
-        due_window = w - self.phases
-        state = self.state
-        due = state.valid & (state.last_window <= due_window)
+        due = self._due_mask(w - self.phases)
         count = int(np.count_nonzero(due))
         if count:
-            state.last_window[due] = w
+            # In place: the fast loops hold memoryviews of ``last_window``.
+            np.putmask(self.state.last_window, due, w)
         return count
 
     def lines_due_in_window(self, window_index: int) -> int:

@@ -32,6 +32,11 @@ cross-machine absolute rates last):
   build-and-prefill to a clone of its image may fall at most
   ``tolerance`` below the recorded ratio, so a slower clone fails
   while the machine's speed cancels out.
+* **RPV cost** -- the same-process ratio of RPV's batch time to the
+  baseline's (``rpv_over_baseline``, timed in interleaved rounds of its
+  own) may rise at most ``tolerance`` above the recorded ratio.  RPV
+  runs the baseline's loops and adds only its phase boundaries, so a
+  slower boundary fails on any machine.
 
 The workload scale matters: the kernel's win comes from hit-dominated
 steady state, and short traces are cold-miss dominated (the warm-up
@@ -86,6 +91,27 @@ def _best_of(fn, rounds: int) -> float:
         dt = time.perf_counter() - t0
         if dt < best:
             best = dt
+    return best
+
+
+def _interleaved_best(steps, rounds: int) -> list[float]:
+    """Best-of-``rounds`` seconds per step, the steps taken in turn.
+
+    Host noise then hits every step alike, which keeps their ratios
+    steadier than back-to-back best-of blocks would.  The cyclic garbage
+    collector is paused, as it is around every sweep attempt and
+    simulation run.
+    """
+    best = [float("inf")] * len(steps)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(rounds):
+            for k, step in enumerate(steps):
+                best[k] = min(best[k], _best_of(step, 1))
+    finally:
+        if was_enabled:
+            gc.enable()
     return best
 
 
@@ -152,13 +178,23 @@ def measure(
         if on_row is not None:
             on_row(technique, rows[technique])
 
-    return {
+    current = {
         "workload": workload,
         "instructions": instructions,
         "techniques": rows,
         "best_batch_speedup_vs_scalar": round(best_batch_speedup, 2),
         "construction": measure_construction(warm, rounds * 10),
     }
+    if "rpv" in techniques and "baseline" in techniques:
+        baseline_s, rpv_s = _interleaved_best(
+            [
+                lambda: System(cfg, [trace], "baseline").run(),
+                lambda: System(cfg, [trace], "rpv").run(),
+            ],
+            rounds,
+        )
+        current["rpv_over_baseline"] = round(rpv_s / baseline_s, 2)
+    return current
 
 
 def measure_construction(system: System, rounds: int) -> dict:
@@ -190,19 +226,7 @@ def measure_construction(system: System, rounds: int) -> dict:
         lambda: SetAssociativeCache.from_image(geo, image, name="L2"),
         lambda: l2.export_batch_state(every_set),
     )
-    # Interleaved rounds: host noise then hits the steps alike, which
-    # keeps their ratio steadier than back-to-back best-of runs would.
-    best = [float("inf")] * len(steps)
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(rounds):
-            for k, step in enumerate(steps):
-                best[k] = min(best[k], _best_of(step, 1))
-    finally:
-        if was_enabled:
-            gc.enable()
-    prefill_s, clone_s, export_s = best
+    prefill_s, clone_s, export_s = _interleaved_best(steps, rounds)
     return {
         "prefill_ms": round(prefill_s * 1e3, 3),
         "clone_ms": round(clone_s * 1e3, 3),
@@ -271,5 +295,15 @@ def check(current: dict, baseline: dict, tolerance: float = 0.25) -> list[str]:
                 f"{recorded['prefill_over_clone']:.2f}x (clone "
                 f"{built['clone_ms']:.3f} ms vs recorded "
                 f"{recorded['clone_ms']:.3f})"
+            )
+
+    ratio = current.get("rpv_over_baseline")
+    recorded_ratio = baseline.get("rpv_over_baseline")
+    if ratio is not None and recorded_ratio is not None:
+        ceiling = recorded_ratio * (1 + tolerance)
+        if ratio > ceiling:
+            failures.append(
+                f"rpv: batch time {ratio:.2f}x the baseline's is more than "
+                f"{tolerance:.0%} above the recorded {recorded_ratio:.2f}x"
             )
     return failures

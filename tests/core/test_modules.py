@@ -84,3 +84,49 @@ class TestPaperGeometries:
         assert mm.num_leaders == sets // rs
         for m in range(modules):
             assert mm.leaders_in(m)
+
+
+class TestTablesMatchPerSetDefinitions:
+    """The list-building shortcuts equal the per-set definitions."""
+
+    @pytest.mark.parametrize(
+        "sets,modules,rs",
+        [
+            (128, 4, 8),
+            (4096, 8, 16),
+            (4096, 8, 64),
+            (8192, 16, 64),
+            (4096, 32, 128),
+            (96, 4, 5),       # R_s does not divide sets/module
+            (120, 5, 7),      # leaders fall at varying module offsets
+            (16, 1, 16),
+        ],
+    )
+    def test_every_table(self, sets, modules, rs):
+        mm = ModuleMap(sets, modules, rs)
+        spm = sets // modules
+        assert mm.leaders() == [s for s in range(sets) if s % rs == 0]
+        assert mm.leader_flags() == [s % rs == 0 for s in range(sets)]
+        assert mm.module_of_set_list() == [s // spm for s in range(sets)]
+        for m in range(modules):
+            first, last = m * spm, (m + 1) * spm
+            assert mm.leaders_in(m) == [
+                s for s in range(first, last) if s % rs == 0
+            ]
+            assert mm.followers_in(m) == [
+                s for s in range(first, last) if s % rs != 0
+            ]
+
+    def test_atd_marks_exactly_the_leaders(self):
+        from repro.cache.cache import SetAssociativeCache
+        from repro.config import CacheGeometry
+        from repro.core.atd import ATDProfiler
+
+        geo = CacheGeometry(size_bytes=128 * 64 * 4, associativity=4,
+                            latency_cycles=1)
+        cache = SetAssociativeCache(geo)
+        mm = ModuleMap(num_sets=128, num_modules=4, sampling_ratio=5)
+        cache.leader[1] = True  # stale flag: attaching must clear it
+        ATDProfiler(cache, mm)
+        assert cache.leader == [s % 5 == 0 for s in range(128)]
+        assert cache.module_of_set == [s // 32 for s in range(128)]

@@ -130,3 +130,27 @@ class TestMakeRecord:
         assert "machine" in record
         inner = record["bench_end_to_end_simulation_rate"]
         assert set(inner["techniques"]) == {"baseline", "rpv", "esteem"}
+
+
+class TestRpvRatioGate:
+    def with_ratio(self, ratio):
+        current = _current()
+        current["rpv_over_baseline"] = ratio
+        return current
+
+    def test_equal_ratio_passes(self):
+        assert check(self.with_ratio(2.0), self.with_ratio(2.0)) == []
+
+    def test_faster_rpv_passes(self):
+        assert check(self.with_ratio(1.2), self.with_ratio(2.0)) == []
+
+    def test_ratio_may_rise_at_most_tolerance(self):
+        base = self.with_ratio(2.0)
+        assert check(self.with_ratio(2.49), base, tolerance=0.25) == []
+        failures = check(self.with_ratio(2.6), base, tolerance=0.25)
+        assert len(failures) == 1
+        assert "rpv" in failures[0] and "2.00x" in failures[0]
+        assert check(self.with_ratio(2.6), base, tolerance=0.4) == []
+
+    def test_record_without_ratio_is_not_gated(self):
+        assert check(self.with_ratio(9.0), BASELINE) == []

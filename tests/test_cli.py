@@ -209,6 +209,9 @@ class TestCommands:
             assert row["batch_seconds"] > 0
             assert row["scalar_seconds"] > 0
             assert row["reference_seconds"] > 0
+        ratio = record["bench_end_to_end_simulation_rate"]["rpv_over_baseline"]
+        assert ratio > 0
+        assert f"rpv/baseline batch time: {ratio:.2f}x" in captured.out
 
     def test_run_profile_reports_spans(self, capsys):
         code = main(
